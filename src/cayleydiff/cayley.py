@@ -3,9 +3,12 @@
 The Cayley graph of (G, S) is the reflexive digraph with
 ``nbhd[g] = {g} union {g*s for s in S}``.  The differential space
 D(C, D) collects the continuous group homomorphisms between the
-underlying groups; continuity only needs checking at the identity, and
-two distinct members are neighbors exactly when both images fit inside
-{identity, d} for a single order-2 generator d of the codomain.
+underlying groups.  A homomorphism is continuous exactly when it sends
+S into N(e) = {e} union T, so D(C, D) is enumerated by sweeping only
+those generator images.  Two distinct members are neighbors exactly
+when both images fit inside {identity, d} for a single order-2
+generator d of the codomain, so neighborhoods are read off one bucket
+of maps per such d.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from .errors import CrossCheckMismatch, DimMismatch
 from .groups import (
     FiniteGroup,
     GeneratingSet,
+    _enumerate_homomorphisms_sweep,
+    _homs_along_tree,
     element_order,
-    enumerate_homomorphisms,
     validate_generating_set,
 )
 from .spaces import (
@@ -126,36 +130,50 @@ def diff_space(
 ) -> DiffSpace:
     """Enumerate D(domain, codomain).
 
-    Membership uses continuity at the identity only; neighborhoods use
-    the order-2 generator criterion.  With ``cross_check`` both are
-    re-derived from the generic definitions and any disagreement raises
-    :class:`CrossCheckMismatch`.
+    A homomorphism is continuous exactly when it sends every Cayley
+    generator of the domain into N(e) = {e} union T of the codomain, so
+    only those generator images are swept.  Neighborhoods use the order-2
+    generator criterion.  With ``cross_check`` the space is rebuilt
+    through :func:`_diff_space_sweep` and checked against the generic
+    definitions; any disagreement raises :class:`CrossCheckMismatch`.
     """
-    homs = enumerate_homomorphisms(domain.group, codomain.group)
-    ne_h = codomain.digraph.nbhd[codomain.group.identity]
-    ne_g = domain.digraph.nbhd[domain.group.identity]
-    maps = tuple(
-        phi for phi in homs if all(phi.values[x] in ne_h for x in ne_g)
+    e_h = codomain.group.identity
+    gens = domain.gens.elements
+    maps = _homs_along_tree(
+        domain.group, codomain.group, gens, sorted(codomain.digraph.nbhd[e_h])
     )
 
-    order2 = frozenset(
-        d for d in codomain.gens.elements if element_order(codomain.group, d) == 2
-    )
-    images = [phi.image() for phi in maps]
-    e_h = codomain.group.identity
-    nbhd = []
-    for i in range(len(maps)):
-        cur = {i}
-        for j in range(len(maps)):
-            if j == i:
-                continue
-            both = images[i] | images[j]
-            if any(both <= frozenset((e_h, d)) for d in order2):
-                cur.add(j)
-        nbhd.append(frozenset(cur))
+    # members of bucket d are the maps with image inside {e, d}
+    buckets: dict[int, list[int]] = {d: [] for d in _order2_generators(codomain)}
+    for i, phi in enumerate(maps):
+        image = {phi.values[s] for s in gens} - {e_h}
+        if not image:
+            for members in buckets.values():
+                members.append(i)
+        elif len(image) == 1 and (d := image.pop()) in buckets:
+            buckets[d].append(i)
+    nbhd = [frozenset((i,)) for i in range(len(maps))]
+    for members in buckets.values():
+        together = frozenset(members)
+        for i in members:
+            nbhd[i] |= together
     space = DiffSpace(domain, codomain, maps, tuple(nbhd))
 
     if cross_check:
+        homs, ref = _diff_space_sweep(domain, codomain)
+        if ref.maps != space.maps:
+            raise CrossCheckMismatch(
+                f"{len(space.maps)} continuous homomorphisms from the generator "
+                f"sweep, {len(ref.maps)} from the full sweep"
+            )
+        if ref.nbhd != space.nbhd:
+            i = next(i for i, (a, b) in enumerate(zip(ref.nbhd, space.nbhd)) if a != b)
+            raise CrossCheckMismatch(
+                f"neighborhood of map {i}: buckets give {sorted(space.nbhd[i])}, "
+                f"pair loop gives {sorted(ref.nbhd[i])}"
+            )
+        ne_h = codomain.digraph.nbhd[e_h]
+        ne_g = domain.digraph.nbhd[domain.group.identity]
         for phi in homs:
             at_identity = all(phi.values[x] in ne_h for x in ne_g)
             globally = is_continuous(domain.digraph, codomain.digraph, phi)
@@ -175,6 +193,39 @@ def diff_space(
                         f"{generic}, order-2 generator criterion says not"
                     )
     return space
+
+
+def _order2_generators(c: CayleyGraph) -> frozenset[int]:
+    return frozenset(d for d in c.gens.elements if element_order(c.group, d) == 2)
+
+
+def _diff_space_sweep(
+    domain: CayleyGraph, codomain: CayleyGraph
+) -> tuple[tuple[FiniteMap, ...], DiffSpace]:
+    """Oracle for :func:`diff_space`: every homomorphism from the full
+    |H|^k sweep, and D(domain, codomain) obtained from them by filtering
+    on continuity at the identity and comparing every pair of members."""
+    homs = _enumerate_homomorphisms_sweep(domain.group, codomain.group)
+    ne_h = codomain.digraph.nbhd[codomain.group.identity]
+    ne_g = domain.digraph.nbhd[domain.group.identity]
+    maps = tuple(
+        phi for phi in homs if all(phi.values[x] in ne_h for x in ne_g)
+    )
+
+    order2 = _order2_generators(codomain)
+    images = [phi.image() for phi in maps]
+    e_h = codomain.group.identity
+    nbhd = []
+    for i in range(len(maps)):
+        cur = {i}
+        for j in range(len(maps)):
+            if j == i:
+                continue
+            both = images[i] | images[j]
+            if any(both <= frozenset((e_h, d)) for d in order2):
+                cur.add(j)
+        nbhd.append(frozenset(cur))
+    return homs, DiffSpace(domain, codomain, maps, tuple(nbhd))
 
 
 def is_isolated(space: DiffSpace, index: int) -> bool:

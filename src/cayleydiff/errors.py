@@ -15,6 +15,7 @@ __all__ = [
     "NoInverse",
     "NotAssociative",
     "SizeGuardExceeded",
+    "BadGuardOverride",
     "NotGenerating",
     "Redundant",
     "NotContinuous",
@@ -57,6 +58,10 @@ class NotAssociative(Error):
 
 class SizeGuardExceeded(Error):
     """A computation would exceed a documented size guard."""
+
+
+class BadGuardOverride(Error):
+    """A ``CAYLEYDIFF_MAX_*`` override is not a non-negative integer."""
 
 
 class NotGenerating(Error):

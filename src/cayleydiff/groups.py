@@ -2,14 +2,20 @@
 
 Elements are indices ``0..order-1`` with the identity always at index 0;
 ``table[a][b]`` is the product a*b.  Construction goes through
-``group_from_table``, which checks the group axioms exhaustively and
-relabels the identity to 0 if needed.  Optional names are display-only
-and never affect equality.
+``group_from_table``, which checks the group axioms (associativity by
+Light's test over a generating set) and relabels the identity to 0 if
+needed.  Optional names are display-only and never affect equality.
+
+Homomorphisms are enumerated by sweeping generator images, each limited
+to the allowed elements whose order divides the generator's, and
+extending them along a spanning tree of the Cayley graph.  The plain
+sweep over all |H|^k images is kept as an oracle for cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -86,23 +92,19 @@ def group_from_table(
 
     Checks, in order: shape and entry range, existence of a two-sided
     identity, two-sided inverses, associativity.  Each failure names the
-    first violating element or triple.  The associativity sweep is
-    vectorized because it is cubic in the order.
+    first violating element or triple.  Associativity uses Light's test:
+    (x*a)*y = x*(a*y) for every a in a generating set implies it for
+    every a (Clifford & Preston, Algebraic Theory of Semigroups I,
+    section 1.2), so the cubic sweep runs only to name a failure.
     """
     n = len(table)
     if n == 0:
         raise MalformedTable("empty table")
     guards.check("group_order", n, f"group of order {n}")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-                raise MalformedTable(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
+    t = _int_table(table, n)
     if names is not None and len(names) != n:
         raise MalformedTable(f"{len(names)} names for {n} elements")
 
-    t = np.array(table, dtype=np.int64)
     idx = np.arange(n)
 
     e = -1
@@ -118,30 +120,66 @@ def group_from_table(
         if not any(t[h, g] == e for h in hs):
             raise NoInverse(g)
 
-    for a in range(n):
-        lhs = t[t[a]]          # lhs[b, c] = (a*b)*c
-        rhs = t[a][t]          # rhs[b, c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAssociative(a, b, c)
+    rows = t.tolist()
+    for a in _greedy_generators(rows, e):
+        # lhs[x, y] = (x*a)*y, rhs[x, y] = x*(a*y)
+        if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+            _raise_first_non_associative(t)
 
     if e != 0:
-        perm = list(range(n))
-        perm[0], perm[e] = e, 0          # swap labels 0 and e
-        new = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                new[perm[a]][perm[b]] = perm[t[a][b]]
-        t = np.array(new, dtype=np.int64)
+        perm = idx.copy()
+        perm[0], perm[e] = e, 0  # swap labels 0 and e; perm is its own inverse
+        rows = perm[t[np.ix_(perm, perm)]].tolist()
         if names is not None:
             names = list(names)
             names[0], names[e] = names[e], names[0]
 
     return FiniteGroup(
         order=n,
-        table=tuple(tuple(int(v) for v in row) for row in t),
+        table=tuple(tuple(row) for row in rows),
         names=tuple(names) if names is not None else None,
     )
+
+
+def _int_table(table: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The table as an int64 array, after the shape and entry-range checks.
+
+    The checks run vectorised; the element-wise loop runs only when they
+    fail (or the entries are not plain integers), to name the first bad
+    row or entry.
+    """
+    t = None
+    if all(len(row) == n for row in table):
+        try:
+            t = np.array(table)
+        except (ValueError, TypeError, OverflowError):
+            t = None
+    if (
+        t is None
+        or t.ndim != 2
+        or t.dtype.kind not in "iu"
+        or t.min() < 0
+        or t.max() >= n
+    ):
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
+            for j, v in enumerate(row):
+                if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+                    raise MalformedTable(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
+        t = np.array(table)
+    return t.astype(np.int64, copy=False)
+
+
+def _raise_first_non_associative(t: np.ndarray) -> None:
+    """Raise :class:`NotAssociative` for the first failing triple in
+    lexicographic order (the full cubic sweep)."""
+    for a in range(len(t)):
+        lhs = t[t[a]]          # lhs[b, c] = (a*b)*c
+        rhs = t[a][t]          # rhs[b, c] = a*(b*c)
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise NotAssociative(a, b, c)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -325,23 +363,129 @@ def squares_subgroup(group: FiniteGroup) -> frozenset[int]:
     return closure(group, {group.table[g][g] for g in range(group.order)})
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
+def _greedy_generators(table: Sequence[Sequence[int]], e: int) -> list[int]:
+    """Elements a_1, a_2, ... such that every element is e*a_i*a_j*...
+    multiplied left to right; each is the least element not reached yet.
+
+    Only the identity e is assumed, so table validation can use it
+    before associativity is known.
+    """
+    seen = {e}
     gens: list[int] = []
-    reached = closure(group, gens)
-    while len(reached) < group.order:
-        g = min(set(range(group.order)) - reached)
-        gens.append(g)
-        reached = closure(group, gens)
+    for cand in range(len(table)):
+        if len(seen) == len(table):
+            break
+        if cand in seen:
+            continue
+        gens.append(cand)
+        queue = [table[x][cand] for x in seen]
+        while queue:
+            y = queue.pop()
+            if y not in seen:
+                seen.add(y)
+                queue.extend(table[y][s] for s in gens)
     return gens
 
 
 def enumerate_homomorphisms(g: FiniteGroup, h: FiniteGroup) -> tuple[FiniteMap, ...]:
     """All group homomorphisms g -> h, sorted by value tuple.
 
-    Generator images are swept and extended along products; every
-    surviving candidate is verified against the full defining identity.
+    Each greedy generator of g may map to any element of h whose order
+    divides its own; :func:`_homs_along_tree` extends and checks each
+    candidate.
     """
-    gens = _greedy_generators(g)
+    gens = _greedy_generators(g.table, g.identity)
+    return _homs_along_tree(g, h, gens, range(h.order))
+
+
+def _homs_along_tree(
+    g: FiniteGroup, h: FiniteGroup, gens: Sequence[int], choices: Iterable[int]
+) -> tuple[FiniteMap, ...]:
+    """Homomorphisms g -> h sending every generator into ``choices``,
+    sorted by value tuple.  ``gens`` must generate g.
+
+    A breadth-first spanning tree of the Cayley graph of (g, gens) is
+    grown one generator at a time: stage i takes the edges x -> x*gens[i]
+    out of the elements reached so far, then every edge out of the
+    elements newly reached.  Generator i may map to the elements of
+    ``choices`` whose order divides its own.  A candidate fixes the
+    images stage by stage; tree edges define phi(x*s) = phi(x)*phi(s)
+    and every other edge must satisfy it.  Once every edge x -> x*s
+    does, phi(ab) = phi(a)phi(b) follows by induction on the length of
+    a word for b, so no candidate needs the full identity checked.  A
+    failing stage discards every candidate with the same earlier images.
+    """
+    tg, th = g.table, h.table
+    order_of = {c: element_order(h, c) for c in choices}
+    options = []
+    for s in gens:
+        k = element_order(g, s)
+        options.append([c for c, kc in order_of.items() if k % kc == 0])
+    guards.check(
+        "hom_candidates", math.prod(map(len, options)), "homomorphism enumeration"
+    )
+
+    seen = [False] * g.order
+    seen[g.identity] = True
+    reached = [g.identity]
+    stages = []  # per generator: (tree edges, closing edges) as (x, j, x*gens[j])
+    for i in range(len(gens)):
+        tree, closing = [], []
+        queue = [(x, (i,)) for x in reached]
+        for x, js in queue:
+            for j in js:
+                y = tg[x][gens[j]]
+                if seen[y]:
+                    closing.append((x, j, y))
+                else:
+                    seen[y] = True
+                    reached.append(y)
+                    queue.append((y, range(i + 1)))
+                    tree.append((x, j, y))
+        stages.append((tree, closing))
+    if len(reached) != g.order:
+        raise NotGenerating(tuple(x for x in range(g.order) if not seen[x]))
+
+    out: list[tuple[int, ...]] = []
+    phi = [h.identity] * g.order
+    _extend_stages(0, stages, options, th, phi, [h.identity] * len(gens), out)
+    out.sort()
+    return tuple(FiniteMap(g.order, h.order, v) for v in out)
+
+
+def _extend_stages(
+    i: int,
+    stages: list[tuple[list, list]],
+    options: list[list[int]],
+    th: tuple[tuple[int, ...], ...],
+    phi: list[int],
+    images: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Try every image of generator i given images[:i]; append each phi
+    that passes the last stage to ``out``."""
+    if i == len(stages):
+        out.append(tuple(phi))
+        return
+    tree, closing = stages[i]
+    for img in options[i]:
+        images[i] = img
+        for x, j, y in tree:
+            phi[y] = th[phi[x]][images[j]]
+        for x, j, y in closing:
+            if phi[y] != th[phi[x]][images[j]]:
+                break
+        else:
+            _extend_stages(i + 1, stages, options, th, phi, images, out)
+
+
+def _enumerate_homomorphisms_sweep(
+    g: FiniteGroup, h: FiniteGroup
+) -> tuple[FiniteMap, ...]:
+    """Oracle for :func:`enumerate_homomorphisms`: sweep all |h|^k images
+    of the k greedy generators, extend each along products, and verify
+    every survivor against the full defining identity."""
+    gens = _greedy_generators(g.table, g.identity)
     guards.check(
         "hom_candidates", h.order ** len(gens), "homomorphism enumeration"
     )

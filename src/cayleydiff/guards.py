@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import os
 
-from .errors import SizeGuardExceeded
+from .errors import BadGuardOverride, SizeGuardExceeded
 
 __all__ = ["DEFAULT_LIMITS", "limit", "check"]
 
 ENV_PREFIX = "CAYLEYDIFF_MAX_"
 
 DEFAULT_LIMITS = {
-    # largest multiplication table accepted (validation is O(n^3))
+    # largest multiplication table accepted (validation is O(n^2 log n))
     "group_order": 1024,
-    # candidate generator-image assignments in homomorphism enumeration
+    # generator-image assignments swept by homomorphism enumeration: the
+    # product over generators of the allowed images whose order divides
+    # the generator's (in D(C,D) only images in N(e) are allowed)
     "hom_candidates": 10**6,
     # total maps swept when enumerating continuous maps exhaustively
     "map_enumeration": 10**7,
@@ -36,14 +38,22 @@ DEFAULT_LIMITS = {
 
 
 def limit(name: str) -> int:
-    """Current limit for ``name``, honoring environment overrides."""
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_LIMITS[name]
+    """Current limit for ``name``, honoring environment overrides.
+
+    An override that is not a non-negative integer raises
+    :class:`BadGuardOverride` rather than falling back to the default.
+    """
+    var = ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
+    if raw is None:
+        return DEFAULT_LIMITS[name]
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BadGuardOverride(f"{var}={raw!r} is not an integer")
+    if value < 0:
+        raise BadGuardOverride(f"{var}={raw!r} is negative")
+    return value
 
 
 def check(name: str, value: int, what: str) -> None:

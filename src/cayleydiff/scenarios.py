@@ -39,6 +39,7 @@ from .differential import (
     differentials_at,
     integers_differentiable_at,
 )
+from .errors import CrossCheckMismatch
 from .groups import (
     GeneratingSet,
     closure,
@@ -60,6 +61,16 @@ from .spaces import (
 )
 
 
+def expect(ok: bool, detail: object) -> None:
+    """Check one expectation of a scenario.
+
+    Unlike ``assert`` this survives ``python -O``, so a soundness
+    regression can never make the suite pass.
+    """
+    if not ok:
+        raise CrossCheckMismatch(str(detail))
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     name: str
@@ -71,25 +82,25 @@ def _pentacle_neighborhoods() -> str:
     space = pentacle()
     for p in range(5):
         want = frozenset(range(5)) - {(p + 3) % 5}
-        assert space.nbhd[p] == want, (p, space.nbhd[p])
+        expect(space.nbhd[p] == want, (p, space.nbhd[p]))
     props = space_properties(space)
-    assert props.is_T0 and not props.is_topological
+    expect(props.is_T0 and not props.is_topological, props)
     return "N(p) omits exactly (p+3) mod 5; T0 and not topological"
 
 
 def _pentacle_filter_convergence() -> str:
     space = pentacle()
-    assert converges(space, PrincipalFilter.of({0, 1}), 0)
-    assert not converges(space, PrincipalFilter.of({3}), 0)
+    expect(converges(space, PrincipalFilter.of({0, 1}), 0), "[{0,1}] misses 0")
+    expect(not converges(space, PrincipalFilter.of({3}), 0), "[{3}] converges to 0")
     return "[{0,1}] converges to 0, [{3}] does not"
 
 
 def _s3_generators() -> str:
     s3 = symmetric_group(3)
-    assert closure(s3, (1, 3)) == frozenset(range(6))
+    expect(closure(s3, (1, 3)) == frozenset(range(6)), "{r, t} does not generate S3")
     validate_generating_set(s3, (1, 3))
     c = cayley_graph(s3, GeneratingSet((1, 3)))
-    assert c.digraph.nbhd[0] == frozenset({0, 1, 3})
+    expect(c.digraph.nbhd[0] == frozenset({0, 1, 3}), c.digraph.nbhd[0])
     return "{r, t} generates S3 without redundancy; N(e) = {e, r, t}"
 
 
@@ -101,7 +112,7 @@ def _left_multiplication_automorphism() -> str:
     )
     for c in samples:
         check = left_mult_automorphism_check(c)
-        assert check.ok, check.witness
+        expect(check.ok, check.witness)
     return "left multiplication is an automorphism on Z6, S3 and B3"
 
 
@@ -114,27 +125,27 @@ def _cayley_separation() -> str:
     )
     for c in nontrivial:
         props = space_properties(c.digraph)
-        assert props.is_T0 and not props.is_topological, c
+        expect(props.is_T0 and not props.is_topological, c)
     two = space_properties(cayley_graph(cyclic_group(2), GeneratingSet((1,))).digraph)
-    assert two.is_topological and not two.is_T0
+    expect(two.is_topological and not two.is_T0, two)
     return "sampled Cayley graphs are non-topological T0; order 2 is the exception"
 
 
 def _hypercube_structure() -> str:
     b1 = hypercube_digraph(1)
     b2 = hypercube_digraph(2)
-    assert box_product(b1, b1) == b2
-    assert b2.nbhd[3] == frozenset({3, 1, 2})
+    expect(box_product(b1, b1) == b2, "B1 x B1 differs from B2")
+    expect(b2.nbhd[3] == frozenset({3, 1, 2}), b2.nbhd[3])
     b3 = hypercube_digraph(3)
-    assert all(len(b3.nbhd[v]) == 4 for v in range(8))
-    assert neighborhood_indices(0, 3) == (0, 1, 2, 4)
+    expect(all(len(b3.nbhd[v]) == 4 for v in range(8)), b3.nbhd)
+    expect(neighborhood_indices(0, 3) == (0, 1, 2, 4), neighborhood_indices(0, 3))
     return "B1 x B1 = B2, N((1,1)) = {(1,1),(0,1),(1,0)}, B3 balls have size 4"
 
 
 def _integer_line_diff_space() -> str:
     space = integers_diff_space()
-    assert space.members == (IntegerMap.ZERO, IntegerMap.IDENTITY)
-    assert all(space.is_isolated(m) for m in space.members)
+    expect(space.members == (IntegerMap.ZERO, IntegerMap.IDENTITY), space.members)
+    expect(all(space.is_isolated(m) for m in space.members), "a member is not isolated")
     return "the line's map space is {zero, identity}, discrete"
 
 
@@ -150,24 +161,28 @@ def _integer_line_criterion() -> str:
             want = (frozenset({IntegerMap.ZERO}) if zero_ok else frozenset()) | (
                 frozenset({IntegerMap.IDENTITY}) if id_ok else frozenset()
             )
-            assert got == want, (n, w)
+            expect(got == want, (n, w))
             hits += 1
     return f"differentiable iff window hits 0,0 or n,n+1 ({hits} windows swept)"
 
 
 def _integer_plane_diff_space() -> str:
     space = integers_plane_diff_space()
-    assert len(space.members) == 4
-    assert set(space.members) == {
-        IntegerPlaneMap.ZERO,
-        IntegerPlaneMap.PROJ1,
-        IntegerPlaneMap.PROJ2,
-        IntegerPlaneMap.SUM,
-    }
+    expect(len(space.members) == 4, space.members)
+    expect(
+        set(space.members)
+        == {
+            IntegerPlaneMap.ZERO,
+            IntegerPlaneMap.PROJ1,
+            IntegerPlaneMap.PROJ2,
+            IntegerPlaneMap.SUM,
+        },
+        space.members,
+    )
     c6 = cayley_graph(cyclic_group(6), GeneratingSet((1,)))
     box = box_product(c6.digraph, c6.digraph)
     add = group_multiplication_map(c6)
-    assert is_continuous(box, c6.digraph, add)
+    expect(is_continuous(box, c6.digraph, add), "addition on Z6 is not continuous")
     return "plane map space has 4 members; addition is continuous on the box product"
 
 
@@ -185,13 +200,13 @@ def _diagonal_nowhere() -> str:
         n = group.order
         pair_gens = tuple(sorted({s * n for s in gens} | set(gens)))
         boxed = cayley_graph(paired, GeneratingSet(pair_gens))
-        assert boxed.digraph == box_product(c.digraph, c.digraph), label
+        expect(boxed.digraph == box_product(c.digraph, c.digraph), label)
         d = diagonal_map(n)
         for v in range(n):
-            assert not is_continuous_at(c.digraph, boxed.digraph, d, v), (label, v)
+            expect(not is_continuous_at(c.digraph, boxed.digraph, d, v), (label, v))
         space = MapSpace.from_diff_space(diff_space(c, boxed))
         for v in range(n):
-            assert differentials_at(DifferentialQuery(space, d, v)) == (), (label, v)
+            expect(differentials_at(DifferentialQuery(space, d, v)) == (), (label, v))
     return "diagonal into the box product: continuous nowhere, differentiable nowhere"
 
 
@@ -204,8 +219,9 @@ _F_MATRIX = GF2Matrix(3, 2, ((1, 0), (0, 0), (0, 1)))
 def _bool_triple_map_differential() -> str:
     f = BoolFunction.from_source(_F_SOURCE)
     diffs = boolean_differentials_at(f, (1, 1), cross_check=True)
-    assert diffs == (_F_MATRIX,), diffs
-    assert _F_MATRIX.apply_bits((1, 1)) == f.value((1, 1)) == (1, 0, 1)
+    expect(diffs == (_F_MATRIX,), diffs)
+    value = f.value((1, 1))
+    expect(_F_MATRIX.apply_bits((1, 1)) == value == (1, 0, 1), value)
     return f"unique differential at (1,1) is {matrix_anf(_F_MATRIX)}"
 
 
@@ -213,7 +229,7 @@ def _bool_pair_map_differential() -> str:
     g = BoolFunction.from_source(_G_SOURCE)
     diffs = boolean_differentials_at(g, (1, 0, 1), cross_check=True)
     want = GF2Matrix(2, 3, ((0, 1, 1), (0, 0, 0)))
-    assert want in diffs, diffs
+    expect(want in diffs, diffs)
     return f"differentials at (1,0,1) include {matrix_anf(want)}"
 
 
@@ -223,30 +239,31 @@ def _bool_composite_chain() -> str:
     gf = g.compose(f)
     diffs = boolean_differentials_at(gf, (1, 1), cross_check=True)
     want = GF2Matrix(2, 2, ((0, 1), (0, 0)))
-    assert want in diffs, diffs
+    expect(want in diffs, diffs)
     _, outer = linear_map_space(3, 2)
     _, inner = linear_map_space(2, 3)
     _, comp = linear_map_space(2, 2)
     report = chain_rule_check(
         g.as_finite_map(), f.as_finite_map(), 3, outer, inner, comp
     )
-    assert report.holds and not report.missing_composites
+    expect(report.holds and not report.missing_composites, report)
     return f"composite has differential {matrix_anf(want)} at (1,1); chain rule holds"
 
 
 def _bool_differentiable_not_continuous() -> str:
     bad = BoolFunction.from_source(_BAD_SOURCE)
     diffs = boolean_differentials_at(bad, (1, 0, 1), cross_check=True)
-    assert any(mt.is_zero() for mt in diffs), diffs
+    expect(any(mt.is_zero() for mt in diffs), diffs)
     cube = hypercube_digraph(3)
-    assert not is_continuous_at(cube, cube, bad.as_finite_map(), 5)
+    continuous = is_continuous_at(cube, cube, bad.as_finite_map(), 5)
+    expect(not continuous, "map is continuous at (1,0,1)")
     return "zero map is a differential at (1,0,1) although the map is discontinuous there"
 
 
 def _bool_matrix_equation() -> str:
     f = BoolFunction.from_source(_F_SOURCE)
     sols = solve_matrix_equation(f, (1, 1))
-    assert sols == (_F_MATRIX,), sols
+    expect(sols == (_F_MATRIX,), sols)
     return f"linear system at (1,1) pins down {matrix_anf(_F_MATRIX)}"
 
 
@@ -257,7 +274,7 @@ def _bool_scalar_zero_rule() -> str:
             continue
         f = BoolFunction(3, 1, tuple((v,) for v in tbl))
         for b in range(8):
-            assert boolean_differentials_at(f, b), (tbl, b)
+            expect(boolean_differentials_at(f, b), (tbl, b))
         checked += 1
     return f"all {checked} scalar maps on B3 with f(0)=0 are differentiable everywhere"
 

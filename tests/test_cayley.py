@@ -133,6 +133,14 @@ def test_diff_space_cross_check_sample():
             diff_space(dom, cod, cross_check=True)
 
 
+def test_diff_space_needs_a_generating_set():
+    # a GeneratingSet is trusted as given; a non-generating one cannot
+    # pin a homomorphism down by its generator images
+    half = cayley_graph(cyclic_group(4), GeneratingSet((2,)))
+    with pytest.raises(NotGenerating):
+        diff_space(half, half)
+
+
 def test_order_two_exception():
     two = cayley_graph(cyclic_group(2), GeneratingSet((1,)))
     props = space_properties(two.digraph)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import cayleydiff
 from cayleydiff import cli
 
 F_POLY = "(p,(1+p)(1+q),q)"
@@ -408,6 +413,33 @@ def test_examples_default_suite(capsys):
 
 def test_examples_unknown_suite(capsys):
     run_err(capsys, ["examples", "--suite", "nope"], 1)
+
+
+def test_sabotaged_suite_fails_under_python_O(tmp_path):
+    # scenario checks must not be assert statements, which -O strips
+    script = tmp_path / "sabotage.py"
+    script.write_text(textwrap.dedent("""
+        import sys
+        from cayleydiff import cli, scenarios
+        from cayleydiff.spaces import discrete_digraph
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        scenarios.pentacle = lambda: discrete_digraph(5)
+        sys.exit(cli.run(["examples", "--suite", "paper"]))
+    """))
+    src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "16 scenarios: 14 passed, 2 failed"
+    failed = [ln.split()[1] for ln in lines[:-1] if ln.startswith("FAIL")]
+    assert failed == ["pentacle-neighborhoods", "pentacle-filter-convergence"]
 
 
 # ------------------------------------------------------------ determinism
