@@ -46,7 +46,6 @@ from .groups import (
     group_from_spec,
     group_to_json,
     validate_generating_set,
-    z2_power_group,
 )
 from .spaces import (
     FiniteMap,
@@ -108,13 +107,16 @@ def _resolve_elements(tokens: str, group: FiniteGroup) -> tuple[int, ...]:
 
 
 def _z2_dim(group: FiniteGroup) -> int | None:
-    """Dimension m when the group is literally the z2^m table, else None."""
-    m = group.order.bit_length() - 1
-    if 2**m != group.order:
+    """Dimension m >= 1 when the group is literally the z2^m table, where
+    a*b = a XOR b on the indices; else None."""
+    n = group.order
+    m = n.bit_length() - 1
+    if m < 1 or 2**m != n:
         return None
-    if group.table == z2_power_group(m).table:
-        return m
-    return None
+    for i, row in enumerate(group.table):
+        if row != tuple(map(i.__xor__, range(n))):
+            return None
+    return m
 
 
 def _bits_of(token: str) -> tuple[int, ...] | None:
@@ -180,7 +182,8 @@ def _load_function(
 ) -> FiniteMap:
     if poly is not None:
         fn = "poly:" + poly
-    assert fn is not None
+    if fn is None:
+        raise ValueError("diff needs a function source: --fn or --f")
     if fn.startswith("file:"):
         with open(fn[len("file:") :], "r", encoding="utf-8") as fh:
             f = map_from_json(json.load(fh))

@@ -4,7 +4,11 @@ Elements are indices ``0..order-1`` with the identity always at index 0;
 ``table[a][b]`` is the product a*b.  Construction goes through
 ``group_from_table``, which checks the group axioms (associativity by
 Light's test over a generating set) and relabels the identity to 0 if
-needed.  Optional names are display-only and never affect equality.
+needed.  Tables hold at most a few thousand entries per row, so the
+checks are plain Python over row tuples: whole rows are compared and
+permuted with ``==`` and ``operator.itemgetter``, which run in C, and
+the package needs nothing beyond the standard library.  Optional names
+are display-only and never affect equality.
 
 Homomorphisms are enumerated by sweeping generator images, each limited
 to the allowed elements whose order divides the generator's, and
@@ -16,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import guards
 from .errors import (
@@ -101,85 +105,99 @@ def group_from_table(
     if n == 0:
         raise MalformedTable("empty table")
     guards.check("group_order", n, f"group of order {n}")
-    t = _int_table(table, n)
+    rows = _int_table(table, n)
     if names is not None and len(names) != n:
         raise MalformedTable(f"{len(names)} names for {n} elements")
 
-    idx = np.arange(n)
-
-    e = -1
-    for c in range(n):
-        if np.array_equal(t[c], idx) and np.array_equal(t[:, c], idx):
-            e = c
-            break
+    idx = tuple(range(n))
+    e = next(
+        (c for c in range(n) if rows[c] == idx and tuple(r[c] for r in rows) == idx),
+        -1,
+    )
     if e < 0:
         raise NoIdentity("no two-sided identity element")
 
-    for g in range(n):
-        hs = np.flatnonzero(t[g] == e)
-        if not any(t[h, g] == e for h in hs):
-            raise NoInverse(g)
+    for g, row in enumerate(rows):
+        h = -1
+        while True:
+            try:
+                h = row.index(e, h + 1)
+            except ValueError:
+                raise NoInverse(g) from None
+            if rows[h][g] == e:
+                break
 
-    rows = t.tolist()
     for a in _greedy_generators(rows, e):
-        # lhs[x, y] = (x*a)*y, rhs[x, y] = x*(a*y)
-        if not np.array_equal(t[t[:, a]], t[:, t[a]]):
-            _raise_first_non_associative(t)
+        # (x*a)*y = x*(a*y) for all y, one row x at a time; a exists only
+        # when n >= 2, so itemgetter returns a tuple
+        a_times = itemgetter(*rows[a])
+        if any(rows[row[a]] != a_times(row) for row in rows):
+            _raise_first_non_associative(rows)
 
     if e != 0:
-        perm = idx.copy()
+        perm = list(idx)
         perm[0], perm[e] = e, 0  # swap labels 0 and e; perm is its own inverse
-        rows = perm[t[np.ix_(perm, perm)]].tolist()
+        relabel = itemgetter(*perm)
+        # new[x][y] = perm[old[perm[x]][perm[y]]]
+        rows = [itemgetter(*relabel(rows[p]))(perm) for p in perm]
         if names is not None:
             names = list(names)
             names[0], names[e] = names[e], names[0]
 
     return FiniteGroup(
         order=n,
-        table=tuple(tuple(row) for row in rows),
+        table=tuple(rows),
         names=tuple(names) if names is not None else None,
     )
 
 
-def _int_table(table: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """The table as an int64 array, after the shape and entry-range checks.
+def _int_table(table: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """The rows as tuples of plain ints, after the shape and entry-range
+    checks.
 
-    The checks run vectorised; the element-wise loop runs only when they
-    fail (or the entries are not plain integers), to name the first bad
-    row or entry.
+    Each row is checked by its length, ``operator.index`` of its entries
+    (integer types only) and its min/max; the element-wise loop runs
+    only when a check fails, to name the first bad row or entry.
     """
-    t = None
-    if all(len(row) == n for row in table):
-        try:
-            t = np.array(table)
-        except (ValueError, TypeError, OverflowError):
-            t = None
-    if (
-        t is None
-        or t.ndim != 2
-        or t.dtype.kind not in "iu"
-        or t.min() < 0
-        or t.max() >= n
-    ):
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-                    raise MalformedTable(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
-        t = np.array(table)
-    return t.astype(np.int64, copy=False)
+    rows = []
+    try:
+        for row in table:
+            r = tuple(map(operator.index, row))
+            if len(r) != n or min(r) < 0 or max(r) >= n:
+                break
+            rows.append(r)
+    except TypeError:
+        pass
+    if len(rows) == n:
+        return rows
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not _is_index(v) or not 0 <= v < n:
+                raise MalformedTable(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
+    return [tuple(map(operator.index, row)) for row in table]
 
 
-def _raise_first_non_associative(t: np.ndarray) -> None:
+def _is_index(v) -> bool:
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
+
+
+def _raise_first_non_associative(rows: Sequence[tuple[int, ...]]) -> None:
     """Raise :class:`NotAssociative` for the first failing triple in
-    lexicographic order (the full cubic sweep)."""
-    for a in range(len(t)):
-        lhs = t[t[a]]          # lhs[b, c] = (a*b)*c
-        rhs = t[a][t]          # rhs[b, c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAssociative(a, b, c)
+    lexicographic order (the full cubic sweep).  Needs n >= 2."""
+    times = [itemgetter(*row) for row in rows]  # times[b](r)[c] = r[b*c]
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            lhs = rows[ab]           # lhs[c] = (a*b)*c
+            rhs = times[b](row_a)    # rhs[c] = a*(b*c)
+            if lhs != rhs:
+                c = next(c for c in range(len(rows)) if lhs[c] != rhs[c])
+                raise NotAssociative(a, b, c)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -190,33 +208,30 @@ def cyclic_group(n: int) -> FiniteGroup:
     return group_from_table(table, names=[str(i) for i in range(n)])
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p*q)(i) = p(q(i)): apply q first
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group on n symbols, n <= 5.
 
-    For n = 3 the elements are ordered e, r, r2, t, tr, tr2 with
-    r the 3-cycle and t the swap of 0 and 1, matching the usual
-    rotation/reflection presentation; larger n uses lexicographic
-    one-line order with one-line names.
+    The product p*q applies q first: (p*q)(i) = p(q(i)).  For n = 3 the
+    elements are ordered e, r, r2, t, tr, tr2 with r the 3-cycle and t
+    the swap of 0 and 1, matching the usual rotation/reflection
+    presentation; larger n uses lexicographic one-line order with
+    one-line names.
     """
     if not 1 <= n <= 5:
         raise MalformedTable(f"symmetric group supported for 1 <= n <= 5, got {n}")
+    if n == 1:
+        # itemgetter with one index returns a bare int, not a permutation
+        return group_from_table([[0]], names=["0"])
     if n == 3:
-        e = (0, 1, 2)
-        r = (1, 2, 0)
-        t = (1, 0, 2)
-        elems = [e, r, _compose(r, r), t, _compose(t, r), _compose(t, _compose(r, r))]
+        elems = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
         names = ["e", "r", "r2", "t", "tr", "tr2"]
     else:
         elems = sorted(itertools.permutations(range(n)))
         names = ["".join(map(str, p)) for p in elems]
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[_compose(p, q)] for q in elems] for p in elems]
-    return group_from_table(table, names=names)
+    # column q: itemgetter(*q)(p) = p*q for every p
+    columns = [list(map(index.__getitem__, map(itemgetter(*q), elems))) for q in elems]
+    return group_from_table(list(zip(*columns)), names=names)
 
 
 def z2_power_group(n: int) -> FiniteGroup:

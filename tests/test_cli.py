@@ -8,6 +8,7 @@ import pytest
 
 import cayleydiff
 from cayleydiff import cli
+from cayleydiff.groups import group_from_spec, group_from_table, z2_power_group
 
 F_POLY = "(p,(1+p)(1+q),q)"
 
@@ -335,6 +336,39 @@ def test_diff_rejects_tuple_point_outside_cubes(capsys):
     )
 
 
+def test_diff_without_function_source_is_a_value_error():
+    s3, _ = group_from_spec("s:3")
+    with pytest.raises(ValueError, match="needs a function source"):
+        cli._load_function(None, None, s3, s3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_z2_dim_of_z2_powers(m):
+    assert cli._z2_dim(z2_power_group(m)) == m
+
+
+def test_z2_dim_rejects_other_tables():
+    z2_3 = z2_power_group(3)
+    perm = [0, 1, 2, 4, 3, 5, 6, 7]  # swap the labels 3 and 4
+    relabelled = group_from_table(
+        [[perm[z2_3.table[perm[a]][perm[b]]] for b in range(8)] for a in range(8)]
+    )
+    assert relabelled.table != z2_3.table
+    for group in (
+        group_from_spec("cyclic:4")[0],
+        relabelled,
+        group_from_spec("s:3")[0],
+        group_from_spec("cyclic:1")[0],
+    ):
+        assert cli._z2_dim(group) is None
+
+
+def test_diffspace_from_trivial_group(capsys):
+    data = json.loads(run_ok(capsys, ["diffspace", "--dom", "cyclic:1", "--cod", "z2^1"]))
+    assert data["count"] == 1
+    assert data["maps"] == [{"values": [0]}]
+
+
 # ------------------------------------------------------------------- bool
 
 
@@ -440,6 +474,25 @@ def test_sabotaged_suite_fails_under_python_O(tmp_path):
     assert lines[-1] == "16 scenarios: 14 passed, 2 failed"
     failed = [ln.split()[1] for ln in lines[:-1] if ln.startswith("FAIL")]
     assert failed == ["pentacle-neighborhoods", "pentacle-filter-convergence"]
+
+
+def test_cli_runs_without_loading_numpy():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from cayleydiff import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["examples"])
+        sys.exit(code or ("numpy" in sys.modules and "numpy was imported"))
+    """)
+    src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------ determinism

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,24 @@ def test_symmetric_group_orders():
         symmetric_group(6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_group_matches_composition_table(n):
+    # the table as it was built before: one composition per entry
+    if n == 3:
+        r, t = (1, 2, 0), (1, 0, 2)
+        r2 = _perm_compose(r, r)
+        elems = [(0, 1, 2), r, r2, t, _perm_compose(t, r), _perm_compose(t, r2)]
+        names = ["e", "r", "r2", "t", "tr", "tr2"]
+    else:
+        elems = sorted(itertools.permutations(range(n)))
+        names = ["".join(map(str, p)) for p in elems]
+    index = {p: i for i, p in enumerate(elems)}
+    want = [[index[_perm_compose(p, q)] for q in elems] for p in elems]
+    g = symmetric_group(n)
+    assert [list(row) for row in g.table] == want
+    assert list(g.names) == names
+
+
 def test_malformed_tables():
     with pytest.raises(MalformedTable):
         group_from_table([[0, 1], [1]])
@@ -114,6 +134,29 @@ def test_identity_relabeled_to_zero():
     assert g.identity == 0
     assert g.names[0] == "e"
     assert all(g.table[0][x] == x == g.table[x][0] for x in range(3))
+
+
+def test_numpy_tables_give_plain_int_rows():
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    shifted = [[(i + j + 1) % 4 for j in range(4)] for i in range(4)]  # e = 3
+    for table in (
+        np.array(z4),
+        [[np.int64(v) for v in row] for row in z4],
+        np.array(shifted, dtype=np.int32),
+    ):
+        g = group_from_table(table)
+        assert all(type(v) is int for row in g.table for v in row)
+        json.dumps(group_to_json(g))
+    assert group_from_table(np.array(z4)).table == cyclic_group(4).table
+    bad = [[np.int64(v) for v in row] for row in z4]
+    bad[1][2] = np.float64(bad[1][2])
+    with pytest.raises(MalformedTable) as exc_info:
+        group_from_table(bad)
+    assert str(exc_info.value) == f"entry (1,2) = {bad[1][2]!r} outside 0..3"
+    floats = np.array(z4, dtype=np.float64)
+    with pytest.raises(MalformedTable) as exc_info:
+        group_from_table(floats)
+    assert str(exc_info.value) == f"entry (0,0) = {floats[0][0]!r} outside 0..3"
 
 
 def test_group_guard():
