@@ -20,17 +20,14 @@ from .boolean import (
 )
 from .cayley import (
     CayleyGraph,
-    DiffSpace,
     cayley_graph,
     diff_space,
     integers_diff_space,
     integers_plane_diff_space,
-    is_isolated,
     left_mult_automorphism_check,
 )
 from .differential import (
     DifferentialQuery,
-    MapSpace,
     chain_rule_check,
     differential_oracle,
     differentials_at,
@@ -53,6 +50,7 @@ from .groups import (
 )
 from .spaces import (
     FiniteMap,
+    MapSpace,
     PrincipalFilter,
     ReflexiveDigraph,
     box_product,
@@ -62,6 +60,7 @@ from .spaces import (
     hom_neighbor,
     is_continuous,
     is_continuous_at,
+    is_isolated,
     pentacle,
     space_properties,
 )

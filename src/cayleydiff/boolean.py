@@ -3,11 +3,13 @@
 The hypercube of dimension n is the Cayley graph of the n-fold power of
 the order-2 group over its unit vectors, so a point's neighborhood is
 the Hamming ball of radius 1.  Continuous linear maps are exactly the
-GF(2) matrices with at most one 1 per column, and the classification of
-differentials specializes pleasantly: every nonzero column of a map and
-its neighbors agree, so the three candidate shapes are isolated
-matrices (two or more distinct nonzero columns), the zero matrix, and
-matrices with a single repeated column.
+GF(2) matrices with at most one 1 per column, and they are the members
+of the group calculus's differential space D(B_m, B_n)
+(:func:`linear_map_space` builds it with :func:`cayleydiff.cayley.diff_space`).
+The classification of differentials specializes pleasantly: every
+nonzero column of a map and its neighbors agree, so the three candidate
+shapes are isolated matrices (two or more distinct nonzero columns), the
+zero matrix, and matrices with a single repeated column.
 
 Points are bit tuples; the index of a point spells its bits with
 variable 1 as the most significant bit.
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import anf, gf2, guards
-from .cayley import CayleyGraph, cayley_graph
+from .cayley import CayleyGraph, cayley_graph, diff_space
+from .differential import DifferentialQuery, differentials_at, differentials_by_theorem
 from .errors import (
     CrossCheckMismatch,
     DimMismatch,
@@ -28,7 +31,7 @@ from .errors import (
     NotDifferentiable,
 )
 from .groups import z2_power_group
-from .spaces import FiniteMap, ReflexiveDigraph
+from .spaces import FiniteMap, MapSpace, ReflexiveDigraph
 
 __all__ = [
     "BoolPoint",
@@ -39,7 +42,6 @@ __all__ = [
     "BoolFunction",
     "hypercube",
     "hypercube_digraph",
-    "apply",
     "is_continuous_linear",
     "continuous_linear_maps",
     "linear_neighbors",
@@ -99,11 +101,24 @@ class GF2Matrix:
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "GF2Matrix":
-        cols = len(columns)
-        rows = len(columns[0]) if columns else 0
+    def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "GF2Matrix":
         return cls(
-            rows, cols, tuple(tuple(c[i] for c in columns) for i in range(rows))
+            rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows))
+        )
+
+    @classmethod
+    def from_finite_map(cls, fm: FiniteMap, m: int, n: int) -> "GF2Matrix":
+        """The matrix of a linear map from the m-cube to the n-cube.
+
+        Column j is the image of the j-th basis point; only those images
+        are read, so this inverts :meth:`as_finite_map` on linear maps.
+        """
+        if fm.dom_size != 2**m or fm.cod_size != 2**n:
+            raise DimMismatch(
+                f"map {fm.dom_size}->{fm.cod_size} is not {2**m}->{2**n}"
+            )
+        return cls.from_columns(
+            n, tuple(index_point(fm.values[1 << (m - 1 - j)], n) for j in range(m))
         )
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -139,7 +154,8 @@ class GF2Matrix:
                 f"cannot compose: inner has {inner.rows} rows, outer {self.cols} columns"
             )
         return GF2Matrix.from_columns(
-            tuple(self.apply_bits(inner.column(j)) for j in range(inner.cols))
+            self.rows,
+            tuple(self.apply_bits(inner.column(j)) for j in range(inner.cols)),
         )
 
     def as_finite_map(self) -> FiniteMap:
@@ -148,10 +164,6 @@ class GF2Matrix:
             2**self.rows,
             tuple(self.apply_index(i) for i in range(2**self.cols)),
         )
-
-
-def apply(matrix: GF2Matrix, x: Sequence[int]) -> BoolPoint:
-    return matrix.apply_bits(x)
 
 
 @dataclass(frozen=True)
@@ -244,14 +256,15 @@ def continuous_linear_maps(m: int, n: int) -> tuple[GF2Matrix, ...]:
     unit = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
     choices = [tuple([0] * n)] + unit
     out = [
-        GF2Matrix.from_columns(cols)
+        GF2Matrix.from_columns(n, cols)
         for cols in itertools.product(choices, repeat=m)
     ]
     return tuple(sorted(out, key=lambda mt: mt.bits))
 
 
 def _neighbor_criterion(a: GF2Matrix, b: GF2Matrix) -> bool:
-    """Neighbors in the linear map space: all nonzero columns of the two
+    """Oracle for the neighborhoods of :func:`linear_map_space`: two
+    distinct maps are neighbors when all nonzero columns of the two
     matrices are one and the same vector."""
     return len(a.distinct_nonzero_columns() | b.distinct_nonzero_columns()) <= 1
 
@@ -270,41 +283,29 @@ def linear_neighbors(matrix: GF2Matrix) -> tuple[GF2Matrix, ...]:
         c = next(iter(nz))
         zero_col = tuple([0] * n)
         for cols in itertools.product((zero_col, c), repeat=m):
-            out.append(GF2Matrix.from_columns(cols))
+            out.append(GF2Matrix.from_columns(n, cols))
     else:
         out.append(GF2Matrix.zero(n, m))
         zero_col = tuple([0] * n)
         for k in range(n):
             c = tuple(1 if i == k else 0 for i in range(n))
             for cols in itertools.product((zero_col, c), repeat=m):
-                mt = GF2Matrix.from_columns(cols)
+                mt = GF2Matrix.from_columns(n, cols)
                 if not mt.is_zero():
                     out.append(mt)
     return tuple(sorted(out, key=lambda mt: mt.bits))
 
 
-def linear_map_space(m: int, n: int):
-    """The continuous linear maps as a differential map space.
+def linear_map_space(m: int, n: int) -> tuple[tuple[GF2Matrix, ...], MapSpace]:
+    """The continuous linear maps as the differential space D(B_m, B_n).
 
     Returns (matrices, MapSpace) with matching indices, for feeding the
-    generic differential machinery.
+    generic differential machinery; the space carries both hypercubes
+    as its Cayley payload.
     """
-    from .differential import MapSpace  # local import to keep layering one-way
-
-    matrices = continuous_linear_maps(m, n)
-    maps = tuple(mt.as_finite_map() for mt in matrices)
-    # the pair criterion speaks about distinct maps; reflexivity is by fiat
-    nbhd = tuple(
-        frozenset({i})
-        | frozenset(
-            j
-            for j in range(len(matrices))
-            if j != i and _neighbor_criterion(matrices[i], matrices[j])
-        )
-        for i in range(len(matrices))
-    )
-    space = MapSpace(hypercube_digraph(m), hypercube_digraph(n), maps, nbhd)
-    return matrices, space
+    guards.check("bool_candidates", (n + 1) ** m, "continuous linear enumeration")
+    space = diff_space(hypercube(m), hypercube(n))
+    return tuple(GF2Matrix.from_finite_map(f, m, n) for f in space.maps), space
 
 
 def _normalize_point(b: Sequence[int] | int, m: int) -> int:
@@ -354,19 +355,19 @@ def boolean_differentials_at(
     result = tuple(out)
 
     if cross_check:
-        from .differential import DifferentialQuery, differentials_at
-
         matrices, space = linear_map_space(f.m, f.n)
-        generic = differentials_at(
-            DifferentialQuery(space, f.as_finite_map(), b_idx)
-        )
-        got = {matrices[i].bits for i in generic}
+        q = DifferentialQuery(space, f.as_finite_map(), b_idx)
         want = {mt.bits for mt in result}
-        if got != want:
-            raise CrossCheckMismatch(
-                f"boolean classification disagrees with the generic criterion "
-                f"at point {b_idx}: {sorted(want)} vs {sorted(got)}"
-            )
+        for label, route in (
+            ("generic criterion", differentials_at),
+            ("theorem route", differentials_by_theorem),
+        ):
+            got = {matrices[i].bits for i in route(q)}
+            if got != want:
+                raise CrossCheckMismatch(
+                    f"boolean classification disagrees with the {label} "
+                    f"at point {b_idx}: {sorted(want)} vs {sorted(got)}"
+                )
     return result
 
 

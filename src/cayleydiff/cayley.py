@@ -3,12 +3,13 @@
 The Cayley graph of (G, S) is the reflexive digraph with
 ``nbhd[g] = {g} union {g*s for s in S}``.  The differential space
 D(C, D) collects the continuous group homomorphisms between the
-underlying groups.  A homomorphism is continuous exactly when it sends
-S into N(e) = {e} union T, so D(C, D) is enumerated by sweeping only
-those generator images.  Two distinct members are neighbors exactly
-when both images fit inside {identity, d} for a single order-2
-generator d of the codomain, so neighborhoods are read off one bucket
-of maps per such d.
+underlying groups; it is a :class:`~cayleydiff.spaces.MapSpace` that
+carries C and D as its Cayley payload.  A homomorphism is continuous
+exactly when it sends S into N(e) = {e} union T, so D(C, D) is
+enumerated by sweeping only those generator images.  Two distinct
+members are neighbors exactly when both images fit inside
+{identity, d} for a single order-2 generator d of the codomain, so
+neighborhoods are read off one bucket of maps per such d.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .groups import (
 )
 from .spaces import (
     FiniteMap,
+    MapSpace,
     ReflexiveDigraph,
     hom_neighbor,
     is_continuous,
@@ -38,9 +40,7 @@ __all__ = [
     "cayley_graph",
     "AutomorphismCheck",
     "left_mult_automorphism_check",
-    "DiffSpace",
     "diff_space",
-    "is_isolated",
     "group_multiplication_map",
     "IntegerMap",
     "IntegerDiffSpace",
@@ -111,24 +111,10 @@ def left_mult_automorphism_check(c: CayleyGraph) -> AutomorphismCheck:
     return AutomorphismCheck(True, None)
 
 
-@dataclass(frozen=True)
-class DiffSpace:
-    """Continuous homomorphisms domain -> codomain with their neighborhoods.
-
-    ``maps`` is sorted by value tuple; ``nbhd[i]`` holds the indices of
-    maps converging to ``maps[i]`` (always including ``i``).
-    """
-
-    domain: CayleyGraph
-    codomain: CayleyGraph
-    maps: tuple[FiniteMap, ...]
-    nbhd: tuple[frozenset[int], ...]
-
-
 def diff_space(
     domain: CayleyGraph, codomain: CayleyGraph, *, cross_check: bool = False
-) -> DiffSpace:
-    """Enumerate D(domain, codomain).
+) -> MapSpace:
+    """Enumerate D(domain, codomain), maps sorted by value tuple.
 
     A homomorphism is continuous exactly when it sends every Cayley
     generator of the domain into N(e) = {e} union T of the codomain, so
@@ -157,7 +143,9 @@ def diff_space(
         together = frozenset(members)
         for i in members:
             nbhd[i] |= together
-    space = DiffSpace(domain, codomain, maps, tuple(nbhd))
+    space = MapSpace(
+        domain.digraph, codomain.digraph, maps, tuple(nbhd), (domain, codomain)
+    )
 
     if cross_check:
         homs, ref = _diff_space_sweep(domain, codomain)
@@ -201,7 +189,7 @@ def _order2_generators(c: CayleyGraph) -> frozenset[int]:
 
 def _diff_space_sweep(
     domain: CayleyGraph, codomain: CayleyGraph
-) -> tuple[tuple[FiniteMap, ...], DiffSpace]:
+) -> tuple[tuple[FiniteMap, ...], MapSpace]:
     """Oracle for :func:`diff_space`: every homomorphism from the full
     |H|^k sweep, and D(domain, codomain) obtained from them by filtering
     on continuity at the identity and comparing every pair of members."""
@@ -225,11 +213,10 @@ def _diff_space_sweep(
             if any(both <= frozenset((e_h, d)) for d in order2):
                 cur.add(j)
         nbhd.append(frozenset(cur))
-    return homs, DiffSpace(domain, codomain, maps, tuple(nbhd))
-
-
-def is_isolated(space: DiffSpace, index: int) -> bool:
-    return space.nbhd[index] == frozenset((index,))
+    space = MapSpace(
+        domain.digraph, codomain.digraph, maps, tuple(nbhd), (domain, codomain)
+    )
+    return homs, space
 
 
 def group_multiplication_map(c: CayleyGraph) -> FiniteMap:

@@ -27,12 +27,10 @@ from .cayley import (
     CayleyGraph,
     cayley_graph,
     diff_space,
-    is_isolated,
     left_mult_automorphism_check,
 )
 from .differential import (
     DifferentialQuery,
-    MapSpace,
     differential_oracle,
     differentials_at,
     differentials_by_theorem,
@@ -52,6 +50,7 @@ from .spaces import (
     ReflexiveDigraph,
     digraph_from_json,
     digraph_to_json,
+    is_isolated,
     map_from_json,
     pentacle,
     space_properties,
@@ -249,13 +248,8 @@ def emit_dot(digraph: ReflexiveDigraph, names: Sequence[str] | None = None) -> s
 def _map_payload(f: FiniteMap, m: int | None, n: int | None) -> dict:
     data: dict = {"values": list(f.values)}
     if m is not None and n is not None:
-        # a homomorphism between z2 powers is a matrix; read its columns
-        # off the images of the basis points
-        cols = []
-        for j in range(m):
-            img = f.values[1 << (m - 1 - j)]
-            cols.append(tuple((img >> (n - 1 - i)) & 1 for i in range(n)))
-        mt = GF2Matrix.from_columns(cols)
+        # a homomorphism between z2 powers is a matrix
+        mt = GF2Matrix.from_finite_map(f, m, n)
         data["rows"] = [list(r) for r in mt.bits]
         data["anf"] = matrix_anf(mt)
     return data
@@ -357,7 +351,7 @@ def _cmd_diff(ns) -> int:
     cod = _build_cayley(ns.cod, ns.cod_gens)
     f = _load_function(ns.fn, ns.f, dom.group, cod.group)
     a = _resolve_point(ns.at, dom.group)
-    space = MapSpace.from_diff_space(diff_space(dom, cod, cross_check=ns.oracle))
+    space = diff_space(dom, cod, cross_check=ns.oracle)
     query = DifferentialQuery(space, f, a)
     found = differentials_at(query)
     checked = ["criterion"]

@@ -6,35 +6,36 @@ smallest neighborhood of L with k(x) = f(x).  On finite carriers this
 single check is equivalent to the full filter-quantifier definition,
 because principal filters are determined by their minimal sets.
 
+The space of candidate maps is a :class:`~cayleydiff.spaces.MapSpace`.
 Three independent routes are provided: the neighborhood-matching
 criterion (:func:`differentials_at`), a classification by the shape of
-L for Cayley spaces (:func:`differentials_by_theorem`), and a naive
-oracle with an optional literal sweep over all principal filters at the
-point (:func:`differential_oracle`).
+L for map spaces that carry their Cayley graphs, such as
+D(C, D) from :func:`~cayleydiff.cayley.diff_space`
+(:func:`differentials_by_theorem`), and a naive oracle with an optional
+literal sweep over all principal filters at the point
+(:func:`differential_oracle`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import guards
-from .cayley import DiffSpace, IntegerMap, is_isolated
+from .cayley import IntegerMap, _order2_generators
 from .errors import (
     DimMismatch,
     HypothesisViolated,
     NotCayley,
-    NotContinuous,
     WindowTooSmall,
 )
-from .groups import element_order, squares_subgroup
+from .groups import squares_subgroup
 from .spaces import (
     FiniteMap,
-    ReflexiveDigraph,
-    hom_neighbor,
-    is_continuous,
+    MapSpace,
     is_continuous_at,
+    is_isolated,
     space_properties,
 )
 
@@ -49,53 +50,6 @@ __all__ = [
     "chain_rule_check",
     "integers_differentiable_at",
 ]
-
-
-@dataclass(frozen=True)
-class MapSpace:
-    """A chosen subspace of continuous maps with its convergence structure."""
-
-    domain: ReflexiveDigraph
-    codomain: ReflexiveDigraph
-    maps: tuple[FiniteMap, ...]
-    nbhd: tuple[frozenset[int], ...]
-    cayley: DiffSpace | None = None
-
-    @classmethod
-    def from_diff_space(cls, space: DiffSpace) -> "MapSpace":
-        return cls(
-            space.domain.digraph,
-            space.codomain.digraph,
-            space.maps,
-            space.nbhd,
-            cayley=space,
-        )
-
-    @classmethod
-    def from_continuous_maps(
-        cls,
-        domain: ReflexiveDigraph,
-        codomain: ReflexiveDigraph,
-        maps: Sequence[FiniteMap],
-        *,
-        verify: bool = True,
-    ) -> "MapSpace":
-        """Wrap an explicit map list, deriving neighborhoods from the
-        generic map-space criterion."""
-        maps = tuple(maps)
-        if verify:
-            for i, f in enumerate(maps):
-                if not is_continuous(domain, codomain, f):
-                    raise NotContinuous(f"map {i} with values {f.values}")
-        nbhd = tuple(
-            frozenset(
-                j
-                for j in range(len(maps))
-                if hom_neighbor(domain, codomain, maps[j], maps[i])
-            )
-            for i in range(len(maps))
-        )
-        return cls(domain, codomain, maps, nbhd)
 
 
 @dataclass(frozen=True)
@@ -148,8 +102,8 @@ def differentials_at(q: DifferentialQuery) -> tuple[int, ...]:
 def differentials_by_theorem(q: DifferentialQuery) -> tuple[int, ...]:
     """Differentials computed by classifying each candidate map.
 
-    Needs Cayley structure (raises :class:`NotCayley` otherwise).  The
-    classification:
+    Needs the space's Cayley payload (raises :class:`NotCayley` when it
+    is ``None``).  The classification:
 
     * isolated L: f must agree with L on the whole neighborhood of a;
     * non-isolated constant L: every value of f near a is the identity
@@ -163,23 +117,18 @@ def differentials_by_theorem(q: DifferentialQuery) -> tuple[int, ...]:
     homomorphisms onto an order-2 subgroup, so it marks the points
     where no neighbor of L can produce a non-identity value.
     """
-    ds = q.space.cayley
-    if ds is None:
+    if q.space.cayley is None:
         raise NotCayley("theorem route needs a diff space built from Cayley graphs")
-    group = ds.domain.group
-    e_h = ds.codomain.group.identity
-    order2 = frozenset(
-        d
-        for d in ds.codomain.gens.elements
-        if element_order(ds.codomain.group, d) == 2
-    )
-    forced = squares_subgroup(group)
+    dom, cod = q.space.cayley
+    e_h = cod.group.identity
+    order2 = _order2_generators(cod)
+    forced = squares_subgroup(dom.group)
     near = sorted(q.space.domain.nbhd[q.a])
     fv = q.f.values
 
     out = []
     for i, m in enumerate(q.space.maps):
-        if is_isolated(ds, i):
+        if is_isolated(q.space, i):
             ok = all(fv[x] == m.values[x] for x in near)
         else:
             image = m.image()

@@ -235,9 +235,11 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def z2_power_group(n: int) -> FiniteGroup:
-    """Direct power of the order-2 group; element index = bit vector."""
-    if n < 1:
-        raise MalformedTable(f"z2 power needs n >= 1, got {n}")
+    """Direct power of the order-2 group; element index = bit vector.
+
+    ``n = 0`` gives the order-1 group, the carrier of the 0-cube."""
+    if n < 0:
+        raise MalformedTable(f"z2 power needs n >= 0, got {n}")
     guards.check("group_order", 2**n, f"z2^{n}")
     size = 2**n
     table = [[i ^ j for j in range(size)] for i in range(size)]

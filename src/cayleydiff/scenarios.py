@@ -34,7 +34,6 @@ from .cayley import (
 )
 from .differential import (
     DifferentialQuery,
-    MapSpace,
     chain_rule_check,
     differentials_at,
     integers_differentiable_at,
@@ -204,7 +203,7 @@ def _diagonal_nowhere() -> str:
         d = diagonal_map(n)
         for v in range(n):
             expect(not is_continuous_at(c.digraph, boxed.digraph, d, v), (label, v))
-        space = MapSpace.from_diff_space(diff_space(c, boxed))
+        space = diff_space(c, boxed)
         for v in range(n):
             expect(differentials_at(DifferentialQuery(space, d, v)) == (), (label, v))
     return "diagonal into the box product: continuous nowhere, differentiable nowhere"

@@ -7,16 +7,24 @@ filter is principal, so a filter is just its nonempty minimal set, and
 the filter converges to ``v`` exactly when that set sits inside
 ``nbhd[v]``.  Continuity of a map then coincides with being a digraph
 homomorphism.
+
+A :class:`MapSpace` is a chosen set of continuous maps between two such
+spaces together with the convergence structure it inherits; the
+differential spaces D(C, D) of Cayley graphs are map spaces that also
+carry the two Cayley graphs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import guards
 from .errors import DimMismatch, MalformedTable, NotContinuous
+
+if TYPE_CHECKING:
+    from .cayley import CayleyGraph
 
 __all__ = [
     "FiniteMap",
@@ -27,6 +35,8 @@ __all__ = [
     "is_continuous_at",
     "is_continuous",
     "hom_neighbor",
+    "MapSpace",
+    "is_isolated",
     "continuous_maps",
     "box_product",
     "categorical_product",
@@ -183,6 +193,56 @@ def hom_neighbor(
             if f.values[a] not in target:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class MapSpace:
+    """A chosen space of continuous maps with its convergence structure.
+
+    ``nbhd[i]`` holds the indices of the maps converging to ``maps[i]``
+    (always including ``i``).  ``cayley`` holds the domain and codomain
+    Cayley graphs when the space is D(C, D), as built by
+    :func:`cayleydiff.cayley.diff_space`; their digraphs are ``domain``
+    and ``codomain``.
+    """
+
+    domain: ReflexiveDigraph
+    codomain: ReflexiveDigraph
+    maps: tuple[FiniteMap, ...]
+    nbhd: tuple[frozenset[int], ...]
+    cayley: "tuple[CayleyGraph, CayleyGraph] | None" = None
+
+    @classmethod
+    def from_diff_space(cls, space: "MapSpace") -> "MapSpace":
+        """Identity; kept for ``bench/workloads.py``, which still calls it."""
+        return space
+
+    @classmethod
+    def from_continuous_maps(
+        cls,
+        domain: ReflexiveDigraph,
+        codomain: ReflexiveDigraph,
+        maps: Sequence[FiniteMap],
+    ) -> "MapSpace":
+        """Wrap an explicit map list, deriving neighborhoods from the
+        generic map-space criterion."""
+        maps = tuple(maps)
+        for i, f in enumerate(maps):
+            if not is_continuous(domain, codomain, f):
+                raise NotContinuous(f"map {i} with values {f.values}")
+        nbhd = tuple(
+            frozenset(
+                j
+                for j in range(len(maps))
+                if hom_neighbor(domain, codomain, maps[j], maps[i])
+            )
+            for i in range(len(maps))
+        )
+        return cls(domain, codomain, maps, nbhd)
+
+
+def is_isolated(space: MapSpace, index: int) -> bool:
+    return space.nbhd[index] == frozenset((index,))
 
 
 def continuous_maps(dom: ReflexiveDigraph, cod: ReflexiveDigraph) -> tuple[FiniteMap, ...]:

@@ -80,7 +80,7 @@ def pool():
 @pytest.fixture(scope="module")
 def pool_spaces(pool):
     return {
-        (dn, cn): MapSpace.from_diff_space(diff_space(dom, cod))
+        (dn, cn): diff_space(dom, cod)
         for dn, dom in pool.items()
         for cn, cod in pool.items()
     }
@@ -144,7 +144,7 @@ def test_c04_diagonal_nowhere_continuous_nowhere_differentiable():
         boxed = cayley_graph(paired, GeneratingSet(pair_gens))
         assert boxed.digraph == box_product(c.digraph, c.digraph)
         d = diagonal_map(n)
-        space = MapSpace.from_diff_space(diff_space(c, boxed))
+        space = diff_space(c, boxed)
         for v in range(n):
             assert not is_continuous_at(c.digraph, boxed.digraph, d, v)
             assert differentials_at(DifferentialQuery(space, d, v)) == ()
@@ -289,7 +289,7 @@ def test_c10_t1_codomain_forces_value(pool):
         if key not in spaces:
             cod = discrete_digraph(k)
             spaces[key] = MapSpace.from_continuous_maps(
-                dom, cod, continuous_maps(dom, cod), verify=False
+                dom, cod, continuous_maps(dom, cod)
             )
         space = spaces[key]
         f = FiniteMap(

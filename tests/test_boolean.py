@@ -25,13 +25,14 @@ from cayleydiff.boolean import (
     solve_matrix_equation,
 )
 from cayleydiff.errors import (
+    CrossCheckMismatch,
     DimMismatch,
     MalformedTable,
     NotContinuous,
     NotDifferentiable,
     SizeGuardExceeded,
 )
-from cayleydiff.spaces import is_continuous_at
+from cayleydiff.spaces import FiniteMap, is_continuous_at
 
 F_SOURCE = "(p, (1+p)(1+q), q)"
 G_SOURCE = "((1+q)(1+p+pr), (1+r)q)"
@@ -145,10 +146,24 @@ def test_matrix_validation():
 def test_matrix_columns_round_trip():
     mt = GF2Matrix(3, 2, ((1, 0), (0, 0), (0, 1)))
     assert mt.columns() == ((1, 0, 0), (0, 0, 1))
-    assert GF2Matrix.from_columns(mt.columns()) == mt
+    assert GF2Matrix.from_columns(3, mt.columns()) == mt
     assert mt.distinct_nonzero_columns() == frozenset(
         {(1, 0, 0), (0, 0, 1)}
     )
+    assert GF2Matrix.from_columns(2, ()) == GF2Matrix(2, 0, ((), ()))
+
+
+def test_from_finite_map_inverts_as_finite_map():
+    # every matrix, not only the continuous ones: a non-canonical
+    # generating set of the domain gives homomorphisms of column weight 2
+    for m in range(4):
+        for n in range(4):
+            for bits in itertools.product((0, 1), repeat=m * n):
+                rows = tuple(bits[i * m : (i + 1) * m] for i in range(n))
+                mt = GF2Matrix(n, m, rows)
+                assert GF2Matrix.from_finite_map(mt.as_finite_map(), m, n) == mt
+    with pytest.raises(DimMismatch):
+        GF2Matrix.from_finite_map(F_MATRIX.as_finite_map(), 3, 2)
 
 
 @given(
@@ -253,6 +268,34 @@ def test_linear_map_space_is_reflexive():
         assert i in nv
 
 
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)] + [(4, 3)]
+)
+def test_linear_map_space_matches_pair_filter(m, n):
+    from cayleydiff.boolean import _neighbor_criterion
+
+    matrices, space = linear_map_space(m, n)
+    # the oracle: every continuous linear map, neighbors by the pair rule
+    ref = continuous_linear_maps(m, n)
+    assert sorted(mt.bits for mt in matrices) == [mt.bits for mt in ref]
+    assert [mt.as_finite_map() for mt in matrices] == list(space.maps)
+    index = {mt: i for i, mt in enumerate(matrices)}
+    for a in ref:
+        want = {b for b in ref if b == a or _neighbor_criterion(a, b)}
+        assert {matrices[j] for j in space.nbhd[index[a]]} == want
+
+
+def test_zero_dimensional_cubes():
+    assert continuous_linear_maps(0, 2) == (GF2Matrix(2, 0, ((), ())),)
+    matrices, space = linear_map_space(0, 2)
+    assert matrices == (GF2Matrix(2, 0, ((), ())),)
+    assert space.maps == (FiniteMap(1, 4, (0,)),)
+    assert (space.domain.size, space.codomain.size) == (1, 4)
+    f = BoolFunction.from_source("(0, 0)", m=0)
+    assert boolean_differentials_at(f, (), cross_check=True) == matrices
+    assert linear_map_space(2, 0)[0] == (GF2Matrix(0, 2, ()),)
+
+
 # ----------------------------------------------------------- differentials
 
 
@@ -316,6 +359,28 @@ def test_random_cross_checks():
         f = BoolFunction(m, n, table)
         b = rng.randrange(2**m)
         boolean_differentials_at(f, b, cross_check=True)
+
+
+@given(st.sampled_from([(4, 4), (5, 3)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_cross_check_on_larger_cubes(dims, data):
+    m, n = dims
+    point = st.tuples(*[st.integers(0, 1)] * n)
+    table = data.draw(st.lists(point, min_size=2**m, max_size=2**m))
+    b = data.draw(st.integers(0, 2**m - 1))
+    f = BoolFunction(m, n, tuple(table))
+    got = boolean_differentials_at(f, b, cross_check=True)
+    assert got == boolean_differentials_at(f, b)
+
+
+def test_cross_check_runs_the_theorem_route(monkeypatch):
+    import cayleydiff.boolean as boolean
+
+    f = BoolFunction.from_source(F_SOURCE)
+    monkeypatch.setattr(boolean, "differentials_by_theorem", lambda q: ())
+    assert boolean_differentials_at(f, (1, 1)) == (F_MATRIX,)
+    with pytest.raises(CrossCheckMismatch, match="theorem route"):
+        boolean_differentials_at(f, (1, 1), cross_check=True)
 
 
 # --------------------------------------------------------- matrix equation

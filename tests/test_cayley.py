@@ -12,7 +12,6 @@ from cayleydiff.cayley import (
     group_multiplication_map,
     integers_diff_space,
     integers_plane_diff_space,
-    is_isolated,
     left_mult_automorphism_check,
     plane_member_as_cyclic_map,
 )
@@ -32,6 +31,7 @@ from cayleydiff.spaces import (
     ReflexiveDigraph,
     box_product,
     is_continuous,
+    is_isolated,
     space_properties,
 )
 

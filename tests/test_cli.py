@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -367,6 +369,9 @@ def test_diffspace_from_trivial_group(capsys):
     data = json.loads(run_ok(capsys, ["diffspace", "--dom", "cyclic:1", "--cod", "z2^1"]))
     assert data["count"] == 1
     assert data["maps"] == [{"values": [0]}]
+    # z2^0 is the order-1 group too
+    out = run_ok(capsys, ["diffspace", "--dom", "z2^0", "--cod", "z2^2"])
+    assert json.loads(out) == {**data, "nbhd": [[0]], "isolated": [True]}
 
 
 # ------------------------------------------------------------------- bool
@@ -400,6 +405,14 @@ def test_bool_diff_json_output(capsys):
     assert data["count"] == 1
     assert data["point"] == [1, 1]
     assert data["differentials"][0]["anf"] == "(p, 0, q)"
+
+
+def test_bool_diff_on_the_zero_cube(capsys):
+    argv = ["bool", "diff", "--m", "0", "--f", "(0,0)", "--at", ""]
+    assert run_ok(capsys, argv) == "(0, 0)\n"
+    assert run_ok(capsys, argv + ["--oracle"]) == "(0, 0)\n"
+    data = json.loads(run_ok(capsys, argv + ["--json"]))
+    assert data["differentials"] == [{"anf": "(0, 0)", "rows": [[], []]}]
 
 
 def test_bool_diff_dimension_mismatch(capsys):
@@ -496,6 +509,30 @@ def test_cli_runs_without_loading_numpy():
 
 
 # ------------------------------------------------------------ determinism
+
+# The CLI calls of the benchmark's cli_calls workload; their stdout
+# digests are frozen in bench/frozen.json, keyed by the space-joined argv.
+BENCH_CLI_CALLS = [
+    ["examples", "--suite", "paper"],
+    ["group", "--group", "z2^8"],
+    ["group", "--group", "s:4", "--homs-to", "s:4"],
+    ["cayley", "--group", "s:4", "dot"],
+    ["space", "--hypercube", "8", "--props"],
+    ["diffspace", "--dom", "z2^3", "--cod", "z2^3"],
+    ["diff", "--dom", "z2^3", "--cod", "z2^3", "--f", "(p, qr, r)", "--at", "100",
+     "--oracle"],
+    ["bool", "diff", "--m", "5", "--n", "4", "--f", "(p+st, q, r, 0)", "--at", "01101"],
+    ["bool", "census", "--m", "7", "--f", "pq+rs+tuv"],
+]
+
+
+def test_benchmark_cli_calls_match_frozen_digests(capsys):
+    frozen = pathlib.Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
+    want = json.loads(frozen.read_text())["cli_stdout_sha256"]
+    assert sorted(" ".join(argv) for argv in BENCH_CLI_CALLS) == sorted(want)
+    for argv in BENCH_CLI_CALLS:
+        out = run_ok(capsys, argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == want[" ".join(argv)], argv
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleydiff.cayley import cayley_graph, diff_space, is_isolated
+from cayleydiff.cayley import cayley_graph, diff_space
 from cayleydiff.groups import (
     _enumerate_homomorphisms_sweep,
     _greedy_generators,
@@ -33,7 +33,7 @@ from cayleydiff.errors import (
     NotAssociative,
     SizeGuardExceeded,
 )
-from cayleydiff.spaces import is_continuous
+from cayleydiff.spaces import is_continuous, is_isolated
 
 # cyclic, symmetric, z2^k and direct sums, orders 1..48
 SPECS = (

@@ -299,6 +299,10 @@ def test_z2_power_group():
     assert all(g.table[x][x] == 0 for x in range(8))
     assert g.table[3][5] == 6  # XOR
     assert g.names == ("000", "001", "010", "011", "100", "101", "110", "111")
+    trivial = z2_power_group(0)
+    assert (trivial.order, trivial.table) == (1, ((0,),))
+    with pytest.raises(MalformedTable):
+        z2_power_group(-1)
 
 
 def test_group_from_spec():

@@ -12,6 +12,7 @@ from cayleydiff.errors import (
 )
 from cayleydiff.spaces import (
     FiniteMap,
+    MapSpace,
     PrincipalFilter,
     ReflexiveDigraph,
     adherence,
@@ -158,6 +159,13 @@ def test_hom_neighbor_requires_continuity():
         hom_neighbor(space, space, broken, cont)
     with pytest.raises(NotContinuous):
         hom_neighbor(space, space, cont, broken)
+
+
+def test_map_space_rejects_a_discontinuous_map():
+    space = pentacle()
+    broken = FiniteMap(5, 5, (1, 0, 2, 3, 4))
+    with pytest.raises(NotContinuous, match="map 1 with values"):
+        MapSpace.from_continuous_maps(space, space, [FiniteMap.identity(5), broken])
 
 
 @settings(max_examples=40, deadline=None)
