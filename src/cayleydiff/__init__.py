@@ -14,6 +14,7 @@ from .boolean import (
     GF2Matrix,
     boolean_differentials_at,
     hypercube,
+    is_differentiable_at,
     leibniz_probe,
     scalar_differentiability_census,
     solve_matrix_equation,

@@ -9,7 +9,10 @@ of the group calculus's differential space D(B_m, B_n)
 The classification of differentials specializes pleasantly: every
 nonzero column of a map and its neighbors agree, so the three candidate
 shapes are isolated matrices (two or more distinct nonzero columns), the
-zero matrix, and matrices with a single repeated column.
+zero matrix, and matrices with a single repeated column.  Whether a
+differential exists at all is read off the first two shapes without
+enumerating any matrix (:func:`is_differentiable_at`), which is what
+the scalar census uses.
 
 Points are bit tuples; the index of a point spells its bits with
 variable 1 as the most significant bit.
@@ -47,6 +50,7 @@ __all__ = [
     "linear_neighbors",
     "linear_map_space",
     "boolean_differentials_at",
+    "is_differentiable_at",
     "solve_matrix_equation",
     "CensusReport",
     "scalar_differentiability_census",
@@ -371,6 +375,48 @@ def boolean_differentials_at(
     return result
 
 
+def is_differentiable_at(f: BoolFunction, b: Sequence[int] | int) -> bool:
+    """Whether f has a differential at the point b, by the classification.
+
+    Equivalent to ``bool(boolean_differentials_at(f, b))`` but builds no
+    matrix and costs O(m*n).  A differential exists exactly when
+
+    * the zero matrix is one: every value of f on the Hamming ball of b
+      has weight <= 1, and f(0) = 0 if the origin is in the ball (every
+      single-column differential implies this, so the families need no
+      test of their own); or
+    * the isolated candidate is one: agreeing with f on the ball forces
+      its column for e_k to be f(b) + f(b + e_k); it counts when every
+      column has weight <= 1, two distinct columns are nonzero, and the
+      columns over the set bits of b sum to f(b).
+    """
+    b_idx = _normalize_point(b, f.m)
+    ball = {x: point_index(f.table[x]) for x in neighborhood_indices(b_idx, f.m)}
+    return _has_differential(ball, f.m, b_idx)
+
+
+def _has_differential(values, m: int, b: int) -> bool:
+    """:func:`is_differentiable_at` on values given as point indices;
+    ``values`` needs to cover the ball of b, e.g. a list over the cube."""
+    fb = values[b]
+    near = [values[b ^ (1 << k)] for k in range(m)]
+    # b & (b - 1) is 0 exactly when the origin is in the ball of b
+    if (
+        fb & (fb - 1) == 0
+        and all(v & (v - 1) == 0 for v in near)
+        and (b & (b - 1) or values[0] == 0)
+    ):
+        return True
+    cols = [fb ^ v for v in near]
+    if any(c & (c - 1) for c in cols) or len(set(cols) - {0}) < 2:
+        return False
+    image = 0
+    for k, c in enumerate(cols):
+        if b >> k & 1:
+            image ^= c
+    return image == fb
+
+
 def row_anf(row: Sequence[int]) -> str:
     """Render one matrix row as a polynomial over p, q, r, ..."""
     terms = [anf._VARS[j] for j, bit in enumerate(row) if bit]
@@ -437,14 +483,15 @@ def scalar_differentiability_census(f: BoolFunction) -> CensusReport:
 
     Scalar codomain: differentiable everywhere outside the ball around
     the origin, and on that ball exactly when f(0) = 0.  The report
-    compares the computed set against this pattern.
+    compares the computed set against this pattern.  Each point is
+    decided by the existence test of :func:`is_differentiable_at`, so
+    the census costs O(m) per point and materialises no matrix.
     """
     if f.n != 1:
         raise DimMismatch("census needs a scalar codomain")
     origin_ball = set(neighborhood_indices(0, f.m))
-    got = tuple(
-        bool(boolean_differentials_at(f, b)) for b in range(2**f.m)
-    )
+    values = [out[0] for out in f.table]
+    got = tuple(_has_differential(values, f.m, b) for b in range(2**f.m))
     zero_at_origin = f.table[0] == (0,)
     expected = tuple(
         (b not in origin_ball) or zero_at_origin for b in range(2**f.m)

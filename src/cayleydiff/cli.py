@@ -193,7 +193,8 @@ def _load_function(
             )
         return f
     if fn.startswith("poly:"):
-        m, n = _z2_dim(dom), _z2_dim(cod)
+        # the order-1 group is the 0-cube here, which _z2_dim leaves out
+        m, n = (0 if g.order == 1 else _z2_dim(g) for g in (dom, cod))
         if m is None or n is None:
             raise ValueError("polynomial sources need z2^m domain and codomain")
         f = BoolFunction.from_source(fn[len("poly:") :], m=m)

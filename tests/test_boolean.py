@@ -14,6 +14,7 @@ from cayleydiff.boolean import (
     hypercube_digraph,
     index_point,
     is_continuous_linear,
+    is_differentiable_at,
     leibniz_probe,
     linear_map_space,
     linear_neighbors,
@@ -418,6 +419,70 @@ def test_matrix_equation_subset_of_differentials():
         assert solved <= diffs
 
 
+# --------------------------------------------------------------- existence
+
+
+@st.composite
+def _function_and_point(draw):
+    """A table on the m-cube and a point b; unless the shape is "random",
+    the table is linear on the ball of b, by the zero matrix, a matrix
+    with columns in {0, beta}, or any continuous matrix."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 1)] * n)
+    table = draw(st.lists(point, min_size=2**m, max_size=2**m))
+    b = draw(st.integers(0, 2**m - 1))
+    zero = (0,) * n
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    shape = draw(st.sampled_from(["random", "zero", "single", "continuous"]))
+    if shape != "random":
+        choices = [zero] if shape == "zero" else [zero, *units]
+        if shape == "single":
+            choices = [zero, draw(st.sampled_from(units))]
+        cols = [draw(st.sampled_from(choices)) for _ in range(m)]
+        linear = GF2Matrix.from_columns(n, cols)
+        for x in neighborhood_indices(b, m):
+            table[x] = linear.apply_bits(index_point(x, m))
+    return BoolFunction(m, n, tuple(table)), b
+
+
+@given(_function_and_point())
+@settings(max_examples=150, deadline=None)
+def test_existence_matches_classification(case):
+    f, b = case
+    assert is_differentiable_at(f, b) == bool(boolean_differentials_at(f, b))
+
+
+def test_existence_exhaustive_on_pair_maps():
+    # every map B2 -> B2 at every point; the shapes seen show that the
+    # zero-matrix and the isolated test each decide both ways
+    seen = set()
+    for values in itertools.product(range(4), repeat=4):
+        f = BoolFunction(2, 2, tuple(index_point(v, 2) for v in values))
+        for b in range(4):
+            diffs = boolean_differentials_at(f, b)
+            assert is_differentiable_at(f, b) == bool(diffs), (values, b)
+            seen.add(
+                (
+                    any(mt.is_zero() for mt in diffs),
+                    any(len(mt.distinct_nonzero_columns()) >= 2 for mt in diffs),
+                )
+            )
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def test_existence_point_forms():
+    g = BoolFunction.from_source(G_SOURCE)
+    assert is_differentiable_at(g, (1, 0, 1)) is is_differentiable_at(g, 5) is True
+    assert is_differentiable_at(BoolFunction.from_source("(1+p, q)"), 0) is False
+    assert is_differentiable_at(BoolFunction(0, 2, ((0, 0),)), ()) is True
+    assert is_differentiable_at(BoolFunction(0, 2, ((1, 0),)), 0) is False
+    with pytest.raises(DimMismatch):
+        is_differentiable_at(g, (1, 0))
+    with pytest.raises(DimMismatch):
+        is_differentiable_at(g, 8)
+
+
 # ------------------------------------------------------------------ census
 
 
@@ -454,6 +519,34 @@ def test_census_rejects_vector_codomain():
     f = BoolFunction.from_source("(p, q)")
     with pytest.raises(DimMismatch):
         scalar_differentiability_census(f)
+
+
+def _census_by_sweep(f):
+    return tuple(bool(boolean_differentials_at(f, b)) for b in range(2**f.m))
+
+
+def test_census_matches_sweep_on_every_scalar_triple():
+    for bits in itertools.product((0, 1), repeat=8):
+        f = BoolFunction(3, 1, tuple((v,) for v in bits))
+        assert scalar_differentiability_census(f).differentiable == _census_by_sweep(f)
+
+
+def test_census_matches_sweep_on_random_tables():
+    rng = random.Random(2718)
+    for m in range(4, 8):
+        for _ in range(3):
+            f = BoolFunction(m, 1, tuple((rng.randrange(2),) for _ in range(2**m)))
+            assert scalar_differentiability_census(f).differentiable == _census_by_sweep(f)
+
+
+def test_census_on_sixteen_bits():
+    rng = random.Random(16)
+    table = [(rng.randrange(2),) for _ in range(2**16)]
+    table[0] = (1,)
+    report = scalar_differentiability_census(BoolFunction(16, 1, tuple(table)))
+    # f(0) = 1: differentiable exactly off the ball of the origin
+    assert report.differentiable == tuple(b & (b - 1) != 0 for b in range(2**16))
+    assert report.matches
 
 
 # ------------------------------------------------------------ product rule

@@ -374,6 +374,20 @@ def test_diffspace_from_trivial_group(capsys):
     assert json.loads(out) == {**data, "nbhd": [[0]], "isolated": [True]}
 
 
+def test_diff_polynomial_on_the_trivial_cube(capsys):
+    # the order-1 group is the 0-cube, as for bool diff --m 0
+    for poly, count in (("(0,0)", 1), ("(1,0)", 0)):
+        argv = ["diff", "--dom", "z2^0", "--cod", "z2^2", "--f", poly, "--at", "0"]
+        data = json.loads(run_ok(capsys, argv))
+        assert data["count"] == count
+        bool_out = run_ok(capsys, ["bool", "diff", "--m", "0", "--f", poly, "--at", ""])
+        assert len(bool_out.splitlines()) == count
+    err = run_err(
+        capsys, ["diff", "--dom", "z2^0", "--cod", "cyclic:1", "--f", "(0,0)", "--at", "0"], 1
+    )
+    assert "codomain needs 0" in err
+
+
 # ------------------------------------------------------------------- bool
 
 
@@ -442,6 +456,13 @@ def test_bool_census_json(capsys):
     )
     assert data["matches"] is True
     assert data["differentiable"] == [False, False, False, True]
+
+
+def test_bool_census_on_eleven_bits(capsys):
+    out = run_ok(capsys, ["bool", "census", "--m", "11", "--f", "pq+rs+tuv+wxyz"])
+    lines = out.splitlines()
+    assert len(lines) == 2**11 + 1
+    assert lines[-1] == "prediction holds: true"
 
 
 # --------------------------------------------------------------- examples
