@@ -33,8 +33,8 @@ from .errors import (
     NotContinuous,
     NotDifferentiable,
 )
-from .groups import z2_power_group
-from .spaces import FiniteMap, MapSpace, ReflexiveDigraph
+from .groups import GeneratingSet, z2_power_group
+from .spaces import FiniteMap, MapSpace
 
 __all__ = [
     "BoolPoint",
@@ -44,7 +44,6 @@ __all__ = [
     "GF2Matrix",
     "BoolFunction",
     "hypercube",
-    "hypercube_digraph",
     "is_continuous_linear",
     "continuous_linear_maps",
     "linear_neighbors",
@@ -233,17 +232,8 @@ class BoolFunction:
 
 def hypercube(n: int) -> CayleyGraph:
     """Cayley graph of the n-dimensional hypercube over unit vectors."""
-    guards.check("hypercube_dim", n, f"hypercube of dimension {n}")
     group = z2_power_group(n)
-    return cayley_graph(group, tuple(2**k for k in range(n)))
-
-
-def hypercube_digraph(n: int) -> ReflexiveDigraph:
-    """The hypercube's digraph alone, built directly from bit flips."""
-    guards.check("hypercube_dim", n, f"hypercube digraph of dimension {n}")
-    return ReflexiveDigraph(
-        tuple(frozenset(neighborhood_indices(b, n)) for b in range(2**n))
-    )
+    return cayley_graph(group, GeneratingSet(tuple(2**k for k in range(n))))
 
 
 def is_continuous_linear(matrix: GF2Matrix) -> bool:

@@ -13,12 +13,12 @@ import json
 import sys
 from typing import Sequence
 
-from . import scenarios
+from . import guards, scenarios
 from .boolean import (
     BoolFunction,
     GF2Matrix,
     boolean_differentials_at,
-    hypercube_digraph,
+    hypercube,
     matrix_anf,
     point_index,
     scalar_differentiability_census,
@@ -299,7 +299,7 @@ def _cmd_space(ns) -> int:
     if ns.pentacle:
         digraph = pentacle()
     elif ns.hypercube is not None:
-        digraph = hypercube_digraph(ns.hypercube)
+        digraph = hypercube(ns.hypercube).digraph
         names = [
             format(v, "0%db" % ns.hypercube) if ns.hypercube else "()"
             for v in range(digraph.size)
@@ -529,6 +529,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        guards.check_overrides()
         return ns.handler(ns)
     except CrossCheckMismatch as exc:
         sys.stderr.write(f"error: CrossCheckMismatch: {exc}\n")

@@ -61,7 +61,7 @@ class SizeGuardExceeded(Error):
 
 
 class BadGuardOverride(Error):
-    """A ``CAYLEYDIFF_MAX_*`` override is not a non-negative integer."""
+    """A ``CAYLEYDIFF_MAX_*`` override is not a non-negative integer or names no guard."""
 
 
 class NotGenerating(Error):

@@ -1,14 +1,14 @@
 """Finite groups as validated multiplication tables.
 
 Elements are indices ``0..order-1`` with the identity always at index 0;
-``table[a][b]`` is the product a*b.  Construction goes through
-``group_from_table``, which checks the group axioms (associativity by
-Light's test over a generating set) and relabels the identity to 0 if
-needed.  Tables hold at most a few thousand entries per row, so the
-checks are plain Python over row tuples: whole rows are compared and
-permuted with ``==`` and ``operator.itemgetter``, which run in C, and
-the package needs nothing beyond the standard library.  Optional names
-are display-only and never affect equality.
+``table[a][b]`` is the product a*b.  Tables from files, JSON or user code
+go through ``group_from_table``, which checks the group axioms
+(associativity by Light's test over a generating set) and relabels the
+identity to 0 if needed; the named constructors build groups by
+construction and skip it.  Tables hold at most a few thousand entries
+per row, so all of it is plain Python over row tuples: whole rows are
+compared and permuted with ``==`` and ``operator.itemgetter``, which run
+in C.  Optional names are display-only and never affect equality.
 
 Homomorphisms are enumerated by sweeping generator images, each limited
 to the allowed elements whose order divides the generator's, and
@@ -59,8 +59,8 @@ __all__ = [
 class FiniteGroup:
     """Immutable multiplication table; identity at index 0.
 
-    Build through :func:`group_from_table` (or the named constructors),
-    which validate the axioms.  Direct construction skips validation.
+    :func:`group_from_table` validates the axioms; the named constructors
+    and direct construction do not.
     """
 
     order: int
@@ -171,6 +171,8 @@ def _int_table(table: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     if len(rows) == n:
         return rows
     for i, row in enumerate(table):
+        if not hasattr(row, "__len__"):
+            raise MalformedTable(f"row {i} = {row!r} is not a sequence")
         if len(row) != n:
             raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
@@ -204,8 +206,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedTable(f"cyclic group needs order >= 1, got {n}")
     guards.check("group_order", n, f"cyclic group of order {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return group_from_table(table, names=[str(i) for i in range(n)])
+    row = tuple(range(n))
+    table = tuple(row[i:] + row[:i] for i in range(n))  # (i + j) % n
+    return FiniteGroup(n, table, names=tuple(map(str, row)))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -219,32 +222,36 @@ def symmetric_group(n: int) -> FiniteGroup:
     """
     if not 1 <= n <= 5:
         raise MalformedTable(f"symmetric group supported for 1 <= n <= 5, got {n}")
+    guards.check("group_order", math.factorial(n), f"symmetric group S{n}")
     if n == 1:
         # itemgetter with one index returns a bare int, not a permutation
-        return group_from_table([[0]], names=["0"])
+        return FiniteGroup(1, ((0,),), names=("0",))
     if n == 3:
         elems = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
-        names = ["e", "r", "r2", "t", "tr", "tr2"]
+        names = ("e", "r", "r2", "t", "tr", "tr2")
     else:
         elems = sorted(itertools.permutations(range(n)))
-        names = ["".join(map(str, p)) for p in elems]
+        names = tuple("".join(map(str, p)) for p in elems)
     index = {p: i for i, p in enumerate(elems)}
     # column q: itemgetter(*q)(p) = p*q for every p
     columns = [list(map(index.__getitem__, map(itemgetter(*q), elems))) for q in elems]
-    return group_from_table(list(zip(*columns)), names=names)
+    return FiniteGroup(len(elems), tuple(zip(*columns)), names=names)
 
 
 def z2_power_group(n: int) -> FiniteGroup:
     """Direct power of the order-2 group; element index = bit vector.
 
-    ``n = 0`` gives the order-1 group, the carrier of the 0-cube."""
+    ``n = 0`` gives the order-1 group, the carrier of the 0-cube.  Row
+    i XOR 2^k is row i permuted, so all rows share row 0's ints."""
     if n < 0:
         raise MalformedTable(f"z2 power needs n >= 0, got {n}")
-    guards.check("group_order", 2**n, f"z2^{n}")
     size = 2**n
-    table = [[i ^ j for j in range(size)] for i in range(size)]
-    names = [format(i, f"0{n}b") for i in range(size)]
-    return group_from_table(table, names=names)
+    guards.check("group_order", size, f"z2^{n}")
+    rows = [tuple(range(size))]
+    for k in range(n):
+        rows += list(map(itemgetter(*(j ^ 2**k for j in range(size))), rows))
+    names = tuple(format(i, f"0{n}b") for i in range(size))
+    return FiniteGroup(size, tuple(rows), names=names)
 
 
 def direct_sum(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -252,19 +259,15 @@ def direct_sum(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     order = g.order * h.order
     guards.check("group_order", order, "direct sum")
     hs = h.order
-    table = [
-        [
-            g.table[a1][a2] * hs + h.table[b1][b2]
-            for a2 in range(g.order)
-            for b2 in range(hs)
-        ]
-        for a1 in range(g.order)
-        for b1 in range(hs)
-    ]
-    names = [
+    table = tuple(
+        tuple(ga * hs + hb for ga in row_g for hb in row_h)
+        for row_g in g.table
+        for row_h in h.table
+    )
+    names = tuple(
         f"({g.name_of(a)},{h.name_of(b)})" for a in range(g.order) for b in range(hs)
-    ]
-    return group_from_table(table, names=names)
+    )
+    return FiniteGroup(order, table, names=names)
 
 
 def group_from_spec(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -279,17 +282,10 @@ def group_from_spec(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
     if spec.startswith("s:"):
         n = _spec_int(spec, "s:")
         group = symmetric_group(n)
-        if n == 1:
-            return group, ()
-        if n == 2:
-            return group, (1,)
-        if n == 3:
-            return group, (1, 3)  # r and t in the presentation order
-        elems = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(elems)}
-        rot = tuple(list(range(1, n)) + [0])
-        swap = tuple([1, 0] + list(range(2, n)))
-        return group, tuple(sorted((index[rot], index[swap])))
+        # the rotation i -> i+1 and the swap of 0 and 1, found by name
+        rest = "".join(map(str, range(2, n)))
+        gens = ("r", "t") if n == 3 else ("1" + rest + "0", "10" + rest)
+        return group, tuple(i for i, x in enumerate(group.names) if x in gens)
     if spec.startswith("z2^"):
         n = _spec_int(spec, "z2^")
         group = z2_power_group(n)
@@ -552,9 +548,11 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(data: Mapping) -> FiniteGroup:
     try:
         order = data["order"]
-        table = data["table"]
+        table = list(data["table"])
+        names = data.get("names")
+        names = None if names is None else list(names)
     except (KeyError, TypeError) as exc:
-        raise MalformedTable(f"group JSON missing field: {exc}")
+        raise MalformedTable(f"group JSON field missing or not a list: {exc}")
     if order != len(table):
         raise MalformedTable(f"order {order} does not match table of size {len(table)}")
-    return group_from_table(table, names=data.get("names"))
+    return group_from_table(table, names=names)

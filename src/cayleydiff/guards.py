@@ -3,6 +3,7 @@
 Every limit can be overridden with an environment variable named
 ``CAYLEYDIFF_MAX_<NAME>``, e.g. ``CAYLEYDIFF_MAX_GROUP_ORDER=2048``.
 Limits are read at call time so overrides apply without reimport.
+Names that match no limit are rejected by :func:`check_overrides`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 
 from .errors import BadGuardOverride, SizeGuardExceeded
 
-__all__ = ["DEFAULT_LIMITS", "limit", "check"]
+__all__ = ["DEFAULT_LIMITS", "limit", "check", "check_overrides"]
 
 ENV_PREFIX = "CAYLEYDIFF_MAX_"
 
@@ -28,8 +29,6 @@ DEFAULT_LIMITS = {
     "product_vertices": 65536,
     # |N(a)| * |map space| in the differential oracle
     "oracle_work": 10**6,
-    # hypercube dimension; the Cayley graph carries a full 2^n x 2^n table
-    "hypercube_dim": 10,
     # bits per point in dense Boolean function tables
     "bool_table_dim": 20,
     # candidate matrices swept by the Boolean differential routines
@@ -64,3 +63,12 @@ def check(name: str, value: int, what: str) -> None:
             f"{what} needs {value}, exceeds guard {name}={cap} "
             f"(override with {ENV_PREFIX}{name.upper()})"
         )
+
+
+def check_overrides() -> None:
+    """Raise :class:`BadGuardOverride` for a ``CAYLEYDIFF_MAX_*`` variable
+    that names no limit, so a misspelt override is not silently ignored."""
+    known = [ENV_PREFIX + name.upper() for name in DEFAULT_LIMITS]
+    for var in sorted(os.environ):
+        if var.startswith(ENV_PREFIX) and var not in known:
+            raise BadGuardOverride(f"{var} names no size guard; known: {', '.join(known)}")

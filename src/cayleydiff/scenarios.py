@@ -16,7 +16,7 @@ from .boolean import (
     BoolFunction,
     GF2Matrix,
     boolean_differentials_at,
-    hypercube_digraph,
+    hypercube,
     is_differentiable_at,
     linear_map_space,
     matrix_anf,
@@ -132,11 +132,11 @@ def _cayley_separation() -> str:
 
 
 def _hypercube_structure() -> str:
-    b1 = hypercube_digraph(1)
-    b2 = hypercube_digraph(2)
+    b1 = hypercube(1).digraph
+    b2 = hypercube(2).digraph
     expect(box_product(b1, b1) == b2, "B1 x B1 differs from B2")
     expect(b2.nbhd[3] == frozenset({3, 1, 2}), b2.nbhd[3])
-    b3 = hypercube_digraph(3)
+    b3 = hypercube(3).digraph
     expect(all(len(b3.nbhd[v]) == 4 for v in range(8)), b3.nbhd)
     expect(neighborhood_indices(0, 3) == (0, 1, 2, 4), neighborhood_indices(0, 3))
     return "B1 x B1 = B2, N((1,1)) = {(1,1),(0,1),(1,0)}, B3 balls have size 4"
@@ -254,7 +254,7 @@ def _bool_differentiable_not_continuous() -> str:
     bad = BoolFunction.from_source(_BAD_SOURCE)
     diffs = boolean_differentials_at(bad, (1, 0, 1), cross_check=True)
     expect(any(mt.is_zero() for mt in diffs), diffs)
-    cube = hypercube_digraph(3)
+    cube = hypercube(3).digraph
     continuous = is_continuous_at(cube, cube, bad.as_finite_map(), 5)
     expect(not continuous, "map is continuous at (1,0,1)")
     return "zero map is a differential at (1,0,1) although the map is discontinuous there"

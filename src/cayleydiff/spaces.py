@@ -17,6 +17,7 @@ carry the two Cayley graphs.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -363,9 +364,9 @@ def digraph_to_json(space: ReflexiveDigraph) -> dict:
 def digraph_from_json(data: dict) -> ReflexiveDigraph:
     try:
         size = data["size"]
-        nbhd = data["nbhd"]
+        nbhd = [frozenset(map(operator.index, nv)) for nv in data["nbhd"]]
     except (KeyError, TypeError) as exc:
-        raise MalformedTable(f"digraph JSON missing field: {exc}")
+        raise MalformedTable(f"digraph JSON field missing or not integers: {exc}")
     if size != len(nbhd):
         raise MalformedTable(f"size {size} does not match {len(nbhd)} neighborhoods")
     return ReflexiveDigraph.from_neighborhoods(nbhd)
@@ -381,9 +382,9 @@ def map_to_json(f: FiniteMap) -> dict:
 
 def map_from_json(data: dict) -> FiniteMap:
     try:
-        dom_size = data["dom_size"]
-        cod_size = data["cod_size"]
-        values = data["values"]
+        dom_size = operator.index(data["dom_size"])
+        cod_size = operator.index(data["cod_size"])
+        values = tuple(map(operator.index, data["values"]))
     except (KeyError, TypeError) as exc:
-        raise MalformedTable(f"map JSON missing field: {exc}")
-    return FiniteMap(int(dom_size), int(cod_size), tuple(int(v) for v in values))
+        raise MalformedTable(f"map JSON field missing or not integers: {exc}")
+    return FiniteMap(dom_size, cod_size, values)

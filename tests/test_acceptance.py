@@ -14,7 +14,7 @@ from cayleydiff.boolean import (
     GF2Matrix,
     boolean_differentials_at,
     continuous_linear_maps,
-    hypercube_digraph,
+    hypercube,
     is_continuous_linear,
     linear_map_space,
     scalar_differentiability_census,
@@ -175,7 +175,7 @@ def test_c05_boolean_worked_example():
 def test_c06_differentiable_but_not_continuous():
     bad = BoolFunction.from_source(BAD_SOURCE)
     assert boolean_differentials_at(bad, (1, 0, 1)) != ()
-    cube = hypercube_digraph(3)
+    cube = hypercube(3).digraph
     assert not is_continuous_at(cube, cube, bad.as_finite_map(), 5)
 
 
@@ -221,7 +221,7 @@ def test_c08_lemma_equivalence_suites(pool):
     # linear continuity: the column-weight rule equals digraph continuity
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            dom, cod = hypercube_digraph(m), hypercube_digraph(n)
+            dom, cod = hypercube(m).digraph, hypercube(n).digraph
             for bits in itertools.product(
                 itertools.product((0, 1), repeat=m), repeat=n
             ):
@@ -233,7 +233,7 @@ def test_c08_lemma_equivalence_suites(pool):
     # matrix adjacency: the column-union rule equals the generic hom rule
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            dom, cod = hypercube_digraph(m), hypercube_digraph(n)
+            dom, cod = hypercube(m).digraph, hypercube(n).digraph
             mats = continuous_linear_maps(m, n)
             for a in mats:
                 for b in mats:
@@ -275,8 +275,8 @@ def test_c10_t1_codomain_forces_value(pool):
     rng = random.Random(1010)
     domains = [
         pentacle(),
-        hypercube_digraph(2),
-        hypercube_digraph(3),
+        hypercube(2).digraph,
+        hypercube(3).digraph,
         pool["S3"].digraph,
         pool["Z4"].digraph,
     ]

@@ -11,7 +11,6 @@ from cayleydiff.boolean import (
     boolean_differentials_at,
     continuous_linear_maps,
     hypercube,
-    hypercube_digraph,
     index_point,
     is_continuous_linear,
     is_differentiable_at,
@@ -221,7 +220,7 @@ def test_continuous_linear_map_count(m, n):
 
 
 def test_column_rule_matches_digraph_continuity():
-    cube2 = hypercube_digraph(2)
+    cube2 = hypercube(2).digraph
     for bits in itertools.product((0, 1), repeat=4):
         mt = GF2Matrix(2, 2, (bits[:2], bits[2:]))
         direct = all(
@@ -332,7 +331,7 @@ def test_differentiable_without_continuity():
     at = (1, 0, 1)
     diffs = boolean_differentials_at(bad, at, cross_check=True)
     assert diffs == (GF2Matrix.zero(3, 3),)
-    cube = hypercube_digraph(3)
+    cube = hypercube(3).digraph
     assert not is_continuous_at(
         cube, cube, bad.as_finite_map(), point_index(at)
     )
@@ -578,17 +577,19 @@ def test_probe_needs_differentiable_factors():
 
 
 def test_hypercube_dimension_guard(monkeypatch):
-    with pytest.raises(SizeGuardExceeded):
-        hypercube_digraph(11)
-    monkeypatch.setenv("CAYLEYDIFF_MAX_HYPERCUBE_DIM", "12")
-    big = hypercube_digraph(11)
+    with pytest.raises(SizeGuardExceeded, match="group_order=1024"):
+        hypercube(11)
+    monkeypatch.setenv("CAYLEYDIFF_MAX_GROUP_ORDER", "2048")
+    big = hypercube(11).digraph
     assert big.size == 2048
     assert len(big.nbhd[0]) == 12
 
 
-def test_hypercube_routes_agree():
-    for m in range(1, 4):
-        assert hypercube(m).digraph == hypercube_digraph(m)
+def test_hypercube_matches_bit_flips():
+    # reference: the Hamming ball of radius 1 around every point
+    for m in range(9):
+        flips = tuple(frozenset(neighborhood_indices(b, m)) for b in range(2**m))
+        assert hypercube(m).digraph.nbhd == flips
 
 
 # --------------------------------------------------------------- functions

@@ -208,6 +208,11 @@ def test_two_point_cube_is_topological_not_t0(capsys):
     }
 
 
+def test_negative_hypercube_is_a_user_error(capsys):
+    err = run_err(capsys, ["space", "--hypercube", "-1"], 1)
+    assert err.startswith("error: MalformedTable:")
+
+
 def test_space_from_file(capsys, tmp_path):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({"size": 3, "nbhd": [[0], [1], [2]]}))
@@ -325,6 +330,33 @@ def test_diff_rejects_wrong_sized_map_file(capsys, tmp_path):
         ],
         1,
     )
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("group", {"order": 2, "table": 5}),
+        ("group", {"order": 2, "table": [5, 6]}),
+        ("group", {"order": 1, "table": [[0]], "names": 5}),
+        ("space", {"size": 1, "nbhd": 5}),
+        ("space", {"size": 2, "nbhd": [[0, "a"], [1]]}),
+        ("diff", {"dom_size": 2, "cod_size": 2, "values": [0, None]}),
+        ("diff", {"dom_size": 2, "cod_size": 2, "values": [0, 1.9]}),
+    ],
+)
+def test_bad_json_is_malformed(capsys, tmp_path, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "group": ["group", "--group", f"file:{path}"],
+        "space": ["space", "--file", str(path)],
+        "diff": [
+            "diff", "--dom", "cyclic:2", "--cod", "cyclic:2",
+            "--fn", f"file:{path}", "--at", "0",
+        ],
+    }[command]
+    err = run_err(capsys, argv, 1)
+    assert err.startswith("error: MalformedTable:")
 
 
 def test_diff_rejects_tuple_point_outside_cubes(capsys):

@@ -305,6 +305,20 @@ def test_z2_power_group():
         z2_power_group(-1)
 
 
+def test_constructors_pass_table_validation():
+    # the constructors skip group_from_table; this is the check they skip
+    groups = [cyclic_group(n) for n in range(1, 65)]
+    groups += [z2_power_group(n) for n in range(9)]
+    groups += [symmetric_group(n) for n in range(1, 6)]
+    sums = [
+        direct_sum(g, h) for g in groups for h in groups if g.order * h.order <= 128
+    ]
+    for g in groups + sums:
+        back = group_from_table(g.table, names=g.names)
+        assert back == g
+        assert back.names == g.names
+
+
 def test_group_from_spec():
     g, gens = group_from_spec("cyclic:6")
     assert g.order == 6 and gens == (1,)
@@ -312,6 +326,8 @@ def test_group_from_spec():
     assert g.order == 6 and gens == (1, 3)
     g, gens = group_from_spec("z2^2")
     assert g.order == 4 and gens == (1, 2)
+    canonical = [group_from_spec(f"s:{n}")[1] for n in range(1, 6)]
+    assert canonical == [(), (1,), (1, 3), (6, 9), (24, 33)]
     with pytest.raises(MalformedTable):
         group_from_spec("dihedral:4")
     with pytest.raises(MalformedTable):

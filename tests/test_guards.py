@@ -26,3 +26,15 @@ def test_bad_override_is_a_user_error(monkeypatch, capsys, raw):
     assert cli.run(["group", "--group", "cyclic:4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: BadGuardOverride: CAYLEYDIFF_MAX_GROUP_ORDER=")
+
+
+@pytest.mark.parametrize(
+    "var", ["CAYLEYDIFF_MAX_GROUP_ORDRE", "CAYLEYDIFF_MAX_HYPERCUBE_DIM"]
+)
+def test_unknown_override_name_is_a_user_error(monkeypatch, capsys, var):
+    monkeypatch.setenv(var, "12")
+    guards.limit("group_order")  # hot-path reads do not scan the environment
+    assert cli.run(["group", "--group", "cyclic:3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: BadGuardOverride: {var} ")
