@@ -323,8 +323,94 @@ def boolean_differentials_at(
     the origin; a single-column matrix needs every nearby value inside
     its two-point image.  The latter two also force f(0) = 0 whenever
     the origin is in sight, since linear maps cannot move it.
+
+    The sweep runs over column codes (see :func:`_code_sweep`) and
+    builds a :class:`GF2Matrix` only for the codes that pass, sorted by
+    ``bits``.  ``cross_check=True`` also runs the dense sweep over
+    validated matrices (:func:`_differentials_by_matrix_sweep`), the
+    generic criterion and the theorem route on :func:`linear_map_space`,
+    and raises :class:`CrossCheckMismatch` unless all agree.
     """
     b_idx = _normalize_point(b, f.m)
+    guards.check("bool_candidates", (f.n + 1) ** f.m, "continuous linear enumeration")
+    codes = _code_sweep(_ball_values(f, b_idx), f.m, f.n, b_idx)
+    result = tuple(
+        sorted((GF2Matrix(f.n, f.m, _code_rows(c, f.n)) for c in codes), key=lambda mt: mt.bits)
+    )
+
+    if cross_check:
+        oracle = _differentials_by_matrix_sweep(f, b_idx)
+        if oracle != result:
+            raise CrossCheckMismatch(
+                f"column-code sweep disagrees with the matrix sweep at point "
+                f"{b_idx}: {[mt.bits for mt in result]} vs {[mt.bits for mt in oracle]}"
+            )
+        matrices, space = linear_map_space(f.m, f.n)
+        q = DifferentialQuery(space, f.as_finite_map(), b_idx)
+        want = {mt.bits for mt in result}
+        for label, route in (
+            ("generic criterion", differentials_at),
+            ("theorem route", differentials_by_theorem),
+        ):
+            got = {matrices[i].bits for i in route(q)}
+            if got != want:
+                raise CrossCheckMismatch(
+                    f"boolean classification disagrees with the {label} "
+                    f"at point {b_idx}: {sorted(want)} vs {sorted(got)}"
+                )
+    return result
+
+
+def _code_rows(code: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the continuous linear map with column code ``code``:
+    column j is zero (code 0) or the unit vector e_c (code c >= 1)."""
+    return tuple(tuple(int(c == i + 1) for c in code) for i in range(n))
+
+
+def _code_sweep(values, m: int, n: int, b: int) -> list[tuple[int, ...]]:
+    """Column codes of the differentials at b, in sweep order.
+
+    A continuous linear map is a code c in {0..n}^m (see
+    :func:`_code_rows`); every one of the (n+1)^m codes is visited and
+    classified by its shape with integer tests on point indices.
+    ``values`` gives f as point indices and needs to cover the ball of
+    b, e.g. the dict of :func:`_ball_values`.
+    """
+    # code c >= 1 as a point index of the n-cube: bit n - c is row c - 1
+    unit = (0,) + tuple(1 << (n - c) for c in range(1, n + 1))
+    fb = values[b]
+    # flipping input bit j (column j) is index bit m - 1 - j
+    near = [values[b ^ (1 << (m - 1 - j))] for j in range(m)]
+    ball = [fb, *near]
+    # b & (b - 1) is 0 exactly when the origin is in the ball of b
+    origin_ok = b & (b - 1) != 0 or values[0] == 0
+    zero_ok = origin_ok and all(v & (v - 1) == 0 for v in ball)
+    single_ok = [origin_ok and all(v in (0, u) for v in ball) for u in unit]
+    # a linear L agrees with f on the ball iff L(b) = f(b) and, since
+    # L(b + e_j) = L(b) + column j, column j = f(b) + f(b + e_j)
+    forced = [fb ^ v for v in near]
+    set_bits = [j for j in range(m) if b >> (m - 1 - j) & 1]
+    out = []
+    for code in itertools.product(range(n + 1), repeat=m):
+        nonzero = set(code)
+        nonzero.discard(0)
+        if len(nonzero) >= 2:
+            image = 0
+            for j in set_bits:
+                image ^= unit[code[j]]
+            ok = image == fb and all(unit[c] == col for c, col in zip(code, forced))
+        elif nonzero:
+            ok = single_ok[nonzero.pop()]
+        else:
+            ok = zero_ok
+        if ok:
+            out.append(code)
+    return out
+
+
+def _differentials_by_matrix_sweep(f: BoolFunction, b_idx: int) -> tuple[GF2Matrix, ...]:
+    """Oracle for :func:`boolean_differentials_at`: the same classification
+    applied to every dense validated matrix of :func:`continuous_linear_maps`."""
     near = neighborhood_indices(b_idx, f.m)
     zero_out = tuple([0] * f.n)
     origin_near = 0 in near
@@ -346,23 +432,7 @@ def boolean_differentials_at(
             )
         if ok:
             out.append(mt)
-    result = tuple(out)
-
-    if cross_check:
-        matrices, space = linear_map_space(f.m, f.n)
-        q = DifferentialQuery(space, f.as_finite_map(), b_idx)
-        want = {mt.bits for mt in result}
-        for label, route in (
-            ("generic criterion", differentials_at),
-            ("theorem route", differentials_by_theorem),
-        ):
-            got = {matrices[i].bits for i in route(q)}
-            if got != want:
-                raise CrossCheckMismatch(
-                    f"boolean classification disagrees with the {label} "
-                    f"at point {b_idx}: {sorted(want)} vs {sorted(got)}"
-                )
-    return result
+    return tuple(out)
 
 
 def is_differentiable_at(f: BoolFunction, b: Sequence[int] | int) -> bool:
@@ -381,8 +451,12 @@ def is_differentiable_at(f: BoolFunction, b: Sequence[int] | int) -> bool:
       columns over the set bits of b sum to f(b).
     """
     b_idx = _normalize_point(b, f.m)
-    ball = {x: point_index(f.table[x]) for x in neighborhood_indices(b_idx, f.m)}
-    return _has_differential(ball, f.m, b_idx)
+    return _has_differential(_ball_values(f, b_idx), f.m, b_idx)
+
+
+def _ball_values(f: BoolFunction, b: int) -> dict[int, int]:
+    """f on the Hamming ball of b, as point indices keyed by point index."""
+    return {x: point_index(f.table[x]) for x in neighborhood_indices(b, f.m)}
 
 
 def _has_differential(values, m: int, b: int) -> bool:

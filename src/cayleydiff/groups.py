@@ -71,13 +71,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        row = self.table[a]
-        for b, ab in enumerate(row):
-            if ab == self.identity and self.table[b][a] == self.identity:
-                return b
-        raise NoInverse(a)
-
     def name_of(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
 
@@ -550,9 +543,12 @@ def group_from_json(data: Mapping) -> FiniteGroup:
         order = data["order"]
         table = list(data["table"])
         names = data.get("names")
-        names = None if names is None else list(names)
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"group JSON field missing or not a list: {exc}")
+    if names is not None and (
+        not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names)
+    ):
+        raise MalformedTable(f"group JSON names must be a list of strings, got {names!r:.60}")
     if order != len(table):
         raise MalformedTable(f"order {order} does not match table of size {len(table)}")
     return group_from_table(table, names=names)

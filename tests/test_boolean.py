@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cayleydiff.boolean import (
     BoolFunction,
     GF2Matrix,
+    _differentials_by_matrix_sweep,
     boolean_differentials_at,
     continuous_linear_maps,
     hypercube,
@@ -425,7 +426,8 @@ def test_matrix_equation_subset_of_differentials():
 def _function_and_point(draw):
     """A table on the m-cube and a point b; unless the shape is "random",
     the table is linear on the ball of b, by the zero matrix, a matrix
-    with columns in {0, beta}, or any continuous matrix."""
+    with columns in {0, beta}, an isolated matrix (two distinct nonzero
+    columns, where m and n allow it), or any continuous matrix."""
     m = draw(st.integers(0, 5))
     n = draw(st.integers(1, 4))
     point = st.tuples(*[st.integers(0, 1)] * n)
@@ -433,12 +435,15 @@ def _function_and_point(draw):
     b = draw(st.integers(0, 2**m - 1))
     zero = (0,) * n
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    shape = draw(st.sampled_from(["random", "zero", "single", "continuous"]))
+    shape = draw(st.sampled_from(["random", "zero", "single", "isolated", "continuous"]))
     if shape != "random":
         choices = [zero] if shape == "zero" else [zero, *units]
         if shape == "single":
             choices = [zero, draw(st.sampled_from(units))]
         cols = [draw(st.sampled_from(choices)) for _ in range(m)]
+        if shape == "isolated" and m >= 2 and n >= 2:
+            first, second = draw(st.permutations(range(m)))[:2]
+            cols[first], cols[second] = draw(st.permutations(units))[:2]
         linear = GF2Matrix.from_columns(n, cols)
         for x in neighborhood_indices(b, m):
             table[x] = linear.apply_bits(index_point(x, m))
@@ -480,6 +485,55 @@ def test_existence_point_forms():
         is_differentiable_at(g, (1, 0))
     with pytest.raises(DimMismatch):
         is_differentiable_at(g, 8)
+
+
+# ------------------------------------------------------ column-code sweep
+
+
+@given(_function_and_point())
+@settings(max_examples=100, deadline=None)
+def test_code_sweep_matches_matrix_sweep(case):
+    f, b = case
+    got = boolean_differentials_at(f, b)
+    assert got == _differentials_by_matrix_sweep(f, b)
+    # raises unless the matrix sweep, the generic criterion and the
+    # theorem route all agree, and returns the default route's answer
+    assert boolean_differentials_at(f, b, cross_check=True) == got
+
+
+def test_code_sweep_exhaustive_on_pair_maps():
+    # every map B2 -> B2 at every point, and every map from the 0-cube
+    tables = [
+        tuple(index_point(v, 2) for v in values)
+        for values in itertools.product(range(4), repeat=4)
+    ]
+    cases = [(BoolFunction(2, 2, t), b) for t in tables for b in range(4)]
+    cases += [
+        (BoolFunction(0, n, (out,)), 0)
+        for n in (1, 2, 3)
+        for out in itertools.product((0, 1), repeat=n)
+    ]
+    shapes = set()
+    for f, b in cases:
+        got = boolean_differentials_at(f, b, cross_check=True)
+        assert got == _differentials_by_matrix_sweep(f, b), (f.table, b)
+        shapes.update(
+            "zero" if mt.is_zero()
+            else "isolated" if len(mt.distinct_nonzero_columns()) >= 2
+            else "single"
+            for mt in got
+        )
+    assert shapes == {"zero", "single", "isolated"}
+
+
+def test_cross_check_runs_the_matrix_sweep(monkeypatch):
+    import cayleydiff.boolean as boolean
+
+    f = BoolFunction.from_source(F_SOURCE)
+    monkeypatch.setattr(boolean, "_differentials_by_matrix_sweep", lambda f, b: ())
+    assert boolean_differentials_at(f, (1, 1)) == (F_MATRIX,)
+    with pytest.raises(CrossCheckMismatch, match="matrix sweep"):
+        boolean_differentials_at(f, (1, 1), cross_check=True)
 
 
 # ------------------------------------------------------------------ census

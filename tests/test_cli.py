@@ -173,6 +173,22 @@ def test_cayley_file_group_needs_gens(capsys, tmp_path):
     assert data["size"] == 4
 
 
+def test_cayley_file_group_by_name(capsys, tmp_path):
+    path = tmp_path / "c3.json"
+    path.write_text(
+        json.dumps(
+            {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["e", "a", "b"]}
+        )
+    )
+    group = json.loads(run_ok(capsys, ["group", "--group", f"file:{path}"]))
+    assert group["names"] == ["e", "a", "b"]
+    data = json.loads(
+        run_ok(capsys, ["cayley", "--group", f"file:{path}", "--gens", "a"])
+    )
+    assert data["gens"] == [1]
+    assert data["size"] == 3
+
+
 # ------------------------------------------------------------------ space
 
 
@@ -342,6 +358,8 @@ def test_diff_rejects_wrong_sized_map_file(capsys, tmp_path):
         ("space", {"size": 2, "nbhd": [[0, "a"], [1]]}),
         ("diff", {"dom_size": 2, "cod_size": 2, "values": [0, None]}),
         ("diff", {"dom_size": 2, "cod_size": 2, "values": [0, 1.9]}),
+        ("group", {"order": 2, "table": [[0, 1], [1, 0]], "names": "ab"}),
+        ("group", {"order": 2, "table": [[0, 1], [1, 0]], "names": [1, 2]}),
     ],
 )
 def test_bad_json_is_malformed(capsys, tmp_path, command, payload):
