@@ -23,8 +23,6 @@ from .cayley import (
     CayleyGraph,
     cayley_graph,
     diff_space,
-    integers_diff_space,
-    integers_plane_diff_space,
     left_mult_automorphism_check,
 )
 from .differential import (

@@ -9,6 +9,7 @@ comma-separated tuple of expressions, e.g. ``(p,(1+p)(1+q),q)``.
 
 from __future__ import annotations
 
+from . import guards
 from .errors import DimMismatch, MalformedTable
 
 __all__ = ["split_components", "parse_expression", "variables_used", "tabulate"]
@@ -158,7 +159,8 @@ def tabulate(source: str, m: int | None = None) -> tuple[int, tuple[tuple[int, .
     """Evaluate a (possibly vector) polynomial source on all points.
 
     Returns (m, table) where table[i] is the output tuple at the point
-    whose bits spell i with variable 1 as the most significant bit.
+    whose bits spell i with variable 1 as the most significant bit.  The
+    ``bool_table_dim`` guard is checked before any point is evaluated.
     """
     components = [parse_expression(c) for c in split_components(source)]
     used: set[int] = set()
@@ -171,6 +173,7 @@ def tabulate(source: str, m: int | None = None) -> tuple[int, tuple[tuple[int, .
         m = needed
     if m < needed:
         raise DimMismatch(f"expression uses {needed} variables but m = {m}")
+    guards.check("bool_table_dim", m, "boolean function table")
     table = []
     for idx in range(2**m):
         bits = tuple((idx >> (m - 1 - k)) & 1 for k in range(m))

@@ -10,6 +10,11 @@ enumerated by sweeping only those generator images.  Two distinct
 members are neighbors exactly when both images fit inside
 {identity, d} for a single order-2 generator d of the codomain, so
 neighborhoods are read off one bucket of maps per such d.
+
+The infinite integer line Z has no finite Cayley graph, so it has no
+``MapSpace``.  :class:`IntegerMap` only names the two members of D(Z, Z),
+the zero map and the identity, for the window criterion
+:func:`cayleydiff.differential.integers_differentiable_at`.
 """
 
 from __future__ import annotations
@@ -43,12 +48,6 @@ __all__ = [
     "diff_space",
     "group_multiplication_map",
     "IntegerMap",
-    "IntegerDiffSpace",
-    "integers_diff_space",
-    "IntegerPlaneMap",
-    "IntegerPlaneDiffSpace",
-    "integers_plane_diff_space",
-    "plane_member_as_cyclic_map",
 ]
 
 
@@ -229,83 +228,10 @@ def group_multiplication_map(c: CayleyGraph) -> FiniteMap:
 
 
 class IntegerMap(Enum):
-    """Members of the differential space of the integer line."""
+    """The two members of D(Z, Z): the zero map and the identity."""
 
     ZERO = "zero"
     IDENTITY = "identity"
 
     def evaluate(self, n: int) -> int:
         return 0 if self is IntegerMap.ZERO else n
-
-
-@dataclass(frozen=True)
-class IntegerDiffSpace:
-    """Symbolic D(Z, Z): the zero map and the identity, both isolated."""
-
-    members: tuple[IntegerMap, ...]
-
-    def is_isolated(self, member: IntegerMap) -> bool:
-        return True
-
-    def neighbors(self, member: IntegerMap) -> tuple[IntegerMap, ...]:
-        return (member,)
-
-    @staticmethod
-    def compose(outer: IntegerMap, inner: IntegerMap) -> IntegerMap:
-        if outer is IntegerMap.IDENTITY and inner is IntegerMap.IDENTITY:
-            return IntegerMap.IDENTITY
-        return IntegerMap.ZERO
-
-
-def integers_diff_space() -> IntegerDiffSpace:
-    return IntegerDiffSpace((IntegerMap.ZERO, IntegerMap.IDENTITY))
-
-
-class IntegerPlaneMap(Enum):
-    """Members of the differential space of the integer plane into the line."""
-
-    ZERO = "zero"
-    PROJ1 = "proj1"
-    PROJ2 = "proj2"
-    SUM = "sum"
-
-    def evaluate(self, a: int, b: int) -> int:
-        if self is IntegerPlaneMap.ZERO:
-            return 0
-        if self is IntegerPlaneMap.PROJ1:
-            return a
-        if self is IntegerPlaneMap.PROJ2:
-            return b
-        return a + b
-
-
-@dataclass(frozen=True)
-class IntegerPlaneDiffSpace:
-    """Symbolic D(Z^2, Z); discrete, so every member is isolated."""
-
-    members: tuple[IntegerPlaneMap, ...]
-
-    def is_isolated(self, member: IntegerPlaneMap) -> bool:
-        return True
-
-    def neighbors(self, member: IntegerPlaneMap) -> tuple[IntegerPlaneMap, ...]:
-        return (member,)
-
-
-def integers_plane_diff_space() -> IntegerPlaneDiffSpace:
-    return IntegerPlaneDiffSpace(
-        (
-            IntegerPlaneMap.ZERO,
-            IntegerPlaneMap.PROJ1,
-            IntegerPlaneMap.PROJ2,
-            IntegerPlaneMap.SUM,
-        )
-    )
-
-
-def plane_member_as_cyclic_map(member: IntegerPlaneMap, n: int) -> FiniteMap:
-    """Materialize a plane member on the paired carrier of Z_n x Z_n."""
-    values = tuple(
-        member.evaluate(a, b) % n for a in range(n) for b in range(n)
-    )
-    return FiniteMap(n * n, n, values)

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import guards, scenarios
+from . import anf, guards, scenarios
 from .boolean import (
     BoolFunction,
     GF2Matrix,
@@ -35,7 +35,7 @@ from .differential import (
     differentials_at,
     differentials_by_theorem,
 )
-from .errors import CrossCheckMismatch, Error
+from .errors import CrossCheckMismatch, DimMismatch, Error
 from .groups import (
     FiniteGroup,
     GeneratingSet,
@@ -381,6 +381,12 @@ def _cmd_diff(ns) -> int:
 
 
 def _cmd_bool_diff(ns) -> int:
+    names = anf._VARS
+    if ns.m > len(names):
+        raise DimMismatch(
+            f"--m {ns.m}: differentials print in polynomial notation, which names "
+            f"only the {len(names)} variables {names[0]}..{names[-1]}"
+        )
     f = BoolFunction.from_source(ns.f, m=ns.m)
     if ns.n is not None and f.n != ns.n:
         raise ValueError(f"polynomial has {f.n} components, --n says {ns.n}")

@@ -25,12 +25,9 @@ from .boolean import (
 )
 from .cayley import (
     IntegerMap,
-    IntegerPlaneMap,
     cayley_graph,
     diff_space,
     group_multiplication_map,
-    integers_diff_space,
-    integers_plane_diff_space,
     left_mult_automorphism_check,
 )
 from .differential import (
@@ -56,6 +53,7 @@ from .spaces import (
     diagonal_map,
     is_continuous,
     is_continuous_at,
+    is_isolated,
     pentacle,
     space_properties,
 )
@@ -142,10 +140,21 @@ def _hypercube_structure() -> str:
     return "B1 x B1 = B2, N((1,1)) = {(1,1),(0,1),(1,0)}, B3 balls have size 4"
 
 
+# A homomorphism out of Z or Z^2 is fixed by its generator images, and
+# continuity confines those images to N(0) = {0, 1}.  Z_N with N >= 3
+# offers the same choices and has no order-2 generator, so D(Z_N, Z_N)
+# and D(Z_N^2, Z_N) are the line's and the plane's spaces reduced mod N
+# (N = 2 is the exception: 1 has order two there).
+_CYCLIC_ORDERS = range(3, 9)
+
+
 def _integer_line_diff_space() -> str:
-    space = integers_diff_space()
-    expect(space.members == (IntegerMap.ZERO, IntegerMap.IDENTITY), space.members)
-    expect(all(space.is_isolated(m) for m in space.members), "a member is not isolated")
+    for n in _CYCLIC_ORDERS:
+        line = cayley_graph(cyclic_group(n), GeneratingSet((1,)))
+        space = diff_space(line, line)
+        want = ((0,) * n, tuple(range(n)))
+        expect(tuple(phi.values for phi in space.maps) == want, (n, space.maps))
+        expect(all(is_isolated(space, i) for i in range(2)), (n, space.nbhd))
     return "the line's map space is {zero, identity}, discrete"
 
 
@@ -167,22 +176,25 @@ def _integer_line_criterion() -> str:
 
 
 def _integer_plane_diff_space() -> str:
-    space = integers_plane_diff_space()
-    expect(len(space.members) == 4, space.members)
-    expect(
-        set(space.members)
-        == {
-            IntegerPlaneMap.ZERO,
-            IntegerPlaneMap.PROJ1,
-            IntegerPlaneMap.PROJ2,
-            IntegerPlaneMap.SUM,
-        },
-        space.members,
-    )
-    c6 = cayley_graph(cyclic_group(6), GeneratingSet((1,)))
-    box = box_product(c6.digraph, c6.digraph)
-    add = group_multiplication_map(c6)
-    expect(is_continuous(box, c6.digraph, add), "addition on Z6 is not continuous")
+    for n in _CYCLIC_ORDERS:
+        line = cayley_graph(cyclic_group(n), GeneratingSet((1,)))
+        plane = cayley_graph(
+            direct_sum(line.group, line.group), GeneratingSet((1, n))
+        )
+        expect(plane.digraph == box_product(line.digraph, line.digraph), n)
+        space = diff_space(plane, line)
+        # the pair (a, b) has index a*n + b; members sort as 0, a, b, a+b
+        want = tuple(
+            tuple((x * a + y * b) % n for a in range(n) for b in range(n))
+            for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))
+        )
+        expect(tuple(phi.values for phi in space.maps) == want, (n, space.maps))
+        expect(all(is_isolated(space, i) for i in range(4)), (n, space.nbhd))
+        add = group_multiplication_map(line)
+        expect(
+            is_continuous(plane.digraph, line.digraph, add),
+            f"addition on Z{n} is not continuous",
+        )
     return "plane map space has 4 members; addition is continuous on the box product"
 
 

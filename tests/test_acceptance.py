@@ -21,11 +21,10 @@ from cayleydiff.boolean import (
 )
 from cayleydiff.boolean import _neighbor_criterion
 from cayleydiff.cayley import (
-    IntegerPlaneMap,
+    IntegerMap,
     cayley_graph,
     diff_space,
     group_multiplication_map,
-    integers_plane_diff_space,
 )
 from cayleydiff.differential import (
     DifferentialQuery,
@@ -101,8 +100,6 @@ def test_c01_pentacle_neighborhoods_and_separation():
 
 
 def test_c02_integer_line_window_criterion():
-    from cayleydiff.cayley import IntegerMap
-
     for n in (-1, 0, 1):
         pts = (n - 1, n, n + 1, n + 2)
         for vals in itertools.product(range(-2, 3), repeat=4):
@@ -117,17 +114,28 @@ def test_c02_integer_line_window_criterion():
 
 
 def test_c03_integer_plane_members_and_box_addition():
-    plane = integers_plane_diff_space()
-    assert len(plane.members) == 4
-    assert set(plane.members) == {
-        IntegerPlaneMap.ZERO,
-        IntegerPlaneMap.PROJ1,
-        IntegerPlaneMap.PROJ2,
-        IntegerPlaneMap.SUM,
-    }
-    c6 = cayley_graph(cyclic_group(6), GeneratingSet((1,)))
-    box = box_product(c6.digraph, c6.digraph)
-    assert is_continuous(box, c6.digraph, group_multiplication_map(c6))
+    # Z_N^2 -> Z_N for N >= 3 has the same generator-image choices as
+    # Z^2 -> Z: each generator goes to 0 or 1, and no order-2 generator
+    # links two members
+    for n in range(3, 9):
+        line = cayley_graph(cyclic_group(n), GeneratingSet((1,)))
+        plane = cayley_graph(
+            direct_sum(line.group, line.group), GeneratingSet((1, n))
+        )
+        box = box_product(line.digraph, line.digraph)
+        assert plane.digraph == box
+        space = diff_space(plane, line)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        assert [phi.values for phi in space.maps] == [
+            tuple(0 for a, b in pairs),
+            tuple(a for a, b in pairs),
+            tuple(b for a, b in pairs),
+            tuple((a + b) % n for a, b in pairs),
+        ]
+        assert all(space.nbhd[i] == frozenset({i}) for i in range(4))
+        add = group_multiplication_map(line)
+        assert space.maps[3] == add
+        assert is_continuous(box, line.digraph, add)
 
 
 def test_c04_diagonal_nowhere_continuous_nowhere_differentiable():

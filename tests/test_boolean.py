@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleydiff import anf
 from cayleydiff.boolean import (
     BoolFunction,
     GF2Matrix,
@@ -99,6 +100,17 @@ def test_parser_errors():
         BoolFunction.from_source("r", m=2)  # r is the third variable
     # redundant m is fine and pads with unused bits
     assert BoolFunction.from_source("p", m=3).m == 3
+
+
+def test_table_guard_refuses_before_any_point_is_evaluated(monkeypatch):
+    def sentinel(node, bits):
+        raise RuntimeError("a point was evaluated")
+
+    monkeypatch.setattr(anf, "_eval", sentinel)
+    with pytest.raises(RuntimeError):
+        BoolFunction.from_source("p", m=1)
+    with pytest.raises(SizeGuardExceeded, match="bool_table_dim=20"):
+        BoolFunction.from_source("p", m=21)
 
 
 def test_explicit_constant():

@@ -4,16 +4,11 @@ import pytest
 
 from cayleydiff.cayley import (
     CayleyGraph,
-    IntegerDiffSpace,
     IntegerMap,
-    IntegerPlaneMap,
     cayley_graph,
     diff_space,
     group_multiplication_map,
-    integers_diff_space,
-    integers_plane_diff_space,
     left_mult_automorphism_check,
-    plane_member_as_cyclic_map,
 )
 from cayleydiff.errors import (
     CrossCheckMismatch,
@@ -24,6 +19,7 @@ from cayleydiff.errors import (
 from cayleydiff.groups import (
     GeneratingSet,
     cyclic_group,
+    direct_sum,
     symmetric_group,
     z2_power_group,
 )
@@ -163,41 +159,52 @@ def test_multiplication_continuity_on_box_product():
     assert not is_continuous(box, s3.digraph, group_multiplication_map(s3))
 
 
+def _line(n):
+    return cayley_graph(cyclic_group(n), GeneratingSet((1,)))
+
+
+def _plane(n):
+    line = _line(n)
+    return cayley_graph(direct_sum(line.group, line.group), GeneratingSet((1, n)))
+
+
 def test_integer_line_space():
-    space = integers_diff_space()
-    assert space.members == (IntegerMap.ZERO, IntegerMap.IDENTITY)
-    for m in space.members:
-        assert space.is_isolated(m)
-        assert space.neighbors(m) == (m,)
+    # Z_N for N >= 3 stands in for Z: the generator 1 may map to 0 or 1
+    for n in range(3, 9):
+        space = diff_space(_line(n), _line(n))
+        zero, ident = space.maps
+        assert zero.values == (0,) * n
+        assert ident.values == tuple(range(n))
+        assert all(is_isolated(space, i) for i in range(2))
+        # members compose like D(Z, Z): only identity after identity is nonzero
+        assert ident.compose(ident) == ident
+        assert zero.compose(ident) == zero
+        assert ident.compose(zero) == zero
     assert IntegerMap.ZERO.evaluate(17) == 0
     assert IntegerMap.IDENTITY.evaluate(17) == 17
-    compose = IntegerDiffSpace.compose
-    assert compose(IntegerMap.IDENTITY, IntegerMap.IDENTITY) is IntegerMap.IDENTITY
-    assert compose(IntegerMap.ZERO, IntegerMap.IDENTITY) is IntegerMap.ZERO
-    assert compose(IntegerMap.IDENTITY, IntegerMap.ZERO) is IntegerMap.ZERO
 
 
 def test_integer_plane_space():
-    space = integers_plane_diff_space()
-    assert len(space.members) == 4
-    evals = {m: m.evaluate(2, 5) for m in space.members}
-    assert evals[IntegerPlaneMap.ZERO] == 0
-    assert evals[IntegerPlaneMap.PROJ1] == 2
-    assert evals[IntegerPlaneMap.PROJ2] == 5
-    assert evals[IntegerPlaneMap.SUM] == 7
-    for m in space.members:
-        assert space.is_isolated(m)
+    for n in range(3, 9):
+        space = diff_space(_plane(n), _line(n))
+        # the pair (a, b) has index a*n + b; members sort as 0, a, b, a+b
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        assert [phi.values for phi in space.maps] == [
+            tuple((x * a + y * b) % n for a, b in pairs)
+            for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))
+        ]
+        assert all(is_isolated(space, i) for i in range(4))
 
 
 def test_plane_members_materialize_continuously():
-    c6 = cayley_graph(cyclic_group(6), GeneratingSet((1,)))
+    c6 = _line(6)
+    plane = _plane(6)
     box = box_product(c6.digraph, c6.digraph)
-    for member in integers_plane_diff_space().members:
-        f = plane_member_as_cyclic_map(member, 6)
-        assert is_continuous(box, c6.digraph, f)
-    assert plane_member_as_cyclic_map(IntegerPlaneMap.SUM, 6).values == (
-        group_multiplication_map(c6).values
-    )
+    assert plane.digraph == box
+    space = diff_space(plane, c6)
+    for phi in space.maps:
+        assert is_continuous(box, c6.digraph, phi)
+    assert space.maps[-1] == group_multiplication_map(c6)
 
 
 def test_diff_space_is_frozen():

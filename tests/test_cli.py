@@ -492,6 +492,23 @@ def test_bool_diff_dimension_mismatch(capsys):
     )
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_bool_diff_refuses_more_variables_than_the_notation_names(capsys, extra):
+    got = cli.run(["bool", "diff", "--m", "12", "--f", "p", "--at", "0", *extra])
+    captured = capsys.readouterr()
+    assert got == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: DimMismatch: --m 12:")
+    assert "11 variables p..z" in captured.err
+
+
+def test_bool_diff_renders_all_eleven_variables(capsys):
+    out = run_ok(capsys, ["bool", "diff", "--m", "11", "--f", "p", "--at", "0"])
+    lines = out.splitlines()
+    assert lines[0] == "(0)"
+    assert lines[-1] == "(p+q+r+s+t+u+v+w+x+y+z)"
+
+
 def test_bool_census_text(capsys):
     out = run_ok(capsys, ["bool", "census", "--m", "3", "--f", "pq+r"])
     lines = out.splitlines()
