@@ -5,14 +5,28 @@ Syntax: ``+`` is XOR, juxtaposition or ``*`` is AND, constants are
 ranked alphabetically (p is variable 1 and the most significant bit of
 a point index).  A vector-valued function is a parenthesized
 comma-separated tuple of expressions, e.g. ``(p,(1+p)(1+q),q)``.
+:func:`row_anf` and :func:`matrix_anf` render linear maps back into
+this notation.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
 from . import guards
 from .errors import DimMismatch, MalformedTable
 
-__all__ = ["split_components", "parse_expression", "variables_used", "tabulate"]
+if TYPE_CHECKING:
+    from .gf2 import GF2Matrix
+
+__all__ = [
+    "split_components",
+    "parse_expression",
+    "variables_used",
+    "tabulate",
+    "row_anf",
+    "matrix_anf",
+]
 
 _VARS = "pqrstuvwxyz"
 
@@ -179,3 +193,19 @@ def tabulate(source: str, m: int | None = None) -> tuple[int, tuple[tuple[int, .
         bits = tuple((idx >> (m - 1 - k)) & 1 for k in range(m))
         table.append(tuple(_eval(node, bits) for node in components))
     return m, tuple(table)
+
+
+def row_anf(row: Sequence[int]) -> str:
+    """Render one matrix row as a polynomial over p, q, r, ..."""
+    terms = [j for j, bit in enumerate(row) if bit]
+    if terms and terms[-1] >= len(_VARS):
+        raise DimMismatch(
+            f"variable {terms[-1] + 1} has no name: polynomial notation names only "
+            f"the {len(_VARS)} variables {_VARS[0]}..{_VARS[-1]}"
+        )
+    return "+".join(_VARS[j] for j in terms) or "0"
+
+
+def matrix_anf(mt: GF2Matrix) -> str:
+    """Render a whole matrix as a tuple of row polynomials."""
+    return "(" + ", ".join(row_anf(r) for r in mt.bits) + ")"

@@ -15,26 +15,34 @@ enumerating any matrix (:func:`is_differentiable_at`), which is what
 the scalar census uses.
 
 Points are bit tuples; the index of a point spells its bits with
-variable 1 as the most significant bit.
+variable 1 as the most significant bit.  Points and :class:`GF2Matrix`
+live in :mod:`cayleydiff.gf2`, the polynomial rendering in
+:mod:`cayleydiff.anf`; both are re-exported here.  The group calculus
+is imported only where it is used (:func:`hypercube`,
+:func:`linear_map_space`, the cross-check and the conversions to
+:class:`~cayleydiff.spaces.FiniteMap`), so classification and the
+census load no group code.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import anf, gf2, guards
-from .cayley import CayleyGraph, cayley_graph, diff_space
-from .differential import DifferentialQuery, differentials_at, differentials_by_theorem
+from .anf import matrix_anf, row_anf
 from .errors import (
     CrossCheckMismatch,
     DimMismatch,
     NotContinuous,
     NotDifferentiable,
 )
-from .groups import GeneratingSet, z2_power_group
-from .spaces import FiniteMap, MapSpace
+from .gf2 import BoolPoint, GF2Matrix, index_point, neighborhood_indices, point_index
+
+if TYPE_CHECKING:
+    from .cayley import CayleyGraph
+    from .spaces import FiniteMap, MapSpace
 
 __all__ = [
     "BoolPoint",
@@ -51,123 +59,14 @@ __all__ = [
     "boolean_differentials_at",
     "is_differentiable_at",
     "solve_matrix_equation",
+    "row_anf",
+    "matrix_anf",
     "CensusReport",
     "scalar_differentiability_census",
     "LeibnizTrial",
     "LeibnizReport",
     "leibniz_probe",
 ]
-
-BoolPoint = tuple[int, ...]
-
-
-def point_index(bits: Sequence[int]) -> int:
-    idx = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise DimMismatch(f"bit {b!r} is not 0 or 1")
-        idx = idx * 2 + b
-    return idx
-
-
-def index_point(idx: int, m: int) -> BoolPoint:
-    if not 0 <= idx < 2**m:
-        raise DimMismatch(f"index {idx} outside a {m}-cube")
-    return tuple((idx >> (m - 1 - k)) & 1 for k in range(m))
-
-
-def neighborhood_indices(idx: int, m: int) -> tuple[int, ...]:
-    """Hamming ball of radius 1 around the point, as sorted indices."""
-    return tuple(sorted({idx} | {idx ^ (1 << k) for k in range(m)}))
-
-
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Dense 0/1 matrix, row-major; acts on column bit vectors."""
-
-    rows: int
-    cols: int
-    bits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.bits) != self.rows:
-            raise DimMismatch(f"{len(self.bits)} rows, declared {self.rows}")
-        for row in self.bits:
-            if len(row) != self.cols:
-                raise DimMismatch(f"row of length {len(row)}, declared {self.cols}")
-            for v in row:
-                if v not in (0, 1):
-                    raise DimMismatch(f"entry {v!r} is not a bit")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "GF2Matrix":
-        return cls(
-            rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows))
-        )
-
-    @classmethod
-    def from_finite_map(cls, fm: FiniteMap, m: int, n: int) -> "GF2Matrix":
-        """The matrix of a linear map from the m-cube to the n-cube.
-
-        Column j is the image of the j-th basis point; only those images
-        are read, so this inverts :meth:`as_finite_map` on linear maps.
-        """
-        if fm.dom_size != 2**m or fm.cod_size != 2**n:
-            raise DimMismatch(
-                f"map {fm.dom_size}->{fm.cod_size} is not {2**m}->{2**n}"
-            )
-        return cls.from_columns(
-            n, tuple(index_point(fm.values[1 << (m - 1 - j)], n) for j in range(m))
-        )
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.bits)
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.cols))
-
-    def distinct_nonzero_columns(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(c for c in self.columns() if any(c))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.bits)
-
-    def apply_bits(self, x: Sequence[int]) -> BoolPoint:
-        if len(x) != self.cols:
-            raise DimMismatch(f"point of length {len(x)} for {self.cols} columns")
-        out = []
-        for row in self.bits:
-            acc = 0
-            for rj, xj in zip(row, x):
-                acc ^= rj & xj
-            out.append(acc)
-        return tuple(out)
-
-    def apply_index(self, idx: int) -> int:
-        return point_index(self.apply_bits(index_point(idx, self.cols)))
-
-    def compose(self, inner: "GF2Matrix") -> "GF2Matrix":
-        """Matrix product self * inner (apply inner first)."""
-        if inner.rows != self.cols:
-            raise DimMismatch(
-                f"cannot compose: inner has {inner.rows} rows, outer {self.cols} columns"
-            )
-        return GF2Matrix.from_columns(
-            self.rows,
-            tuple(self.apply_bits(inner.column(j)) for j in range(inner.cols)),
-        )
-
-    def as_finite_map(self) -> FiniteMap:
-        return FiniteMap(
-            2**self.cols,
-            2**self.rows,
-            tuple(self.apply_index(i) for i in range(2**self.cols)),
-        )
-
 
 @dataclass(frozen=True)
 class BoolFunction:
@@ -201,6 +100,8 @@ class BoolFunction:
         return cls(m, n, tuple(index_point(v, n) for v in fm.values))
 
     def as_finite_map(self) -> FiniteMap:
+        from .spaces import FiniteMap
+
         return FiniteMap(
             2**self.m, 2**self.n, tuple(point_index(out) for out in self.table)
         )
@@ -232,6 +133,9 @@ class BoolFunction:
 
 def hypercube(n: int) -> CayleyGraph:
     """Cayley graph of the n-dimensional hypercube over unit vectors."""
+    from .cayley import cayley_graph
+    from .groups import GeneratingSet, z2_power_group
+
     group = z2_power_group(n)
     return cayley_graph(group, GeneratingSet(tuple(2**k for k in range(n))))
 
@@ -297,6 +201,8 @@ def linear_map_space(m: int, n: int) -> tuple[tuple[GF2Matrix, ...], MapSpace]:
     generic differential machinery; the space carries both hypercubes
     as its Cayley payload.
     """
+    from .cayley import diff_space
+
     guards.check("bool_candidates", (n + 1) ** m, "continuous linear enumeration")
     space = diff_space(hypercube(m), hypercube(n))
     return tuple(GF2Matrix.from_finite_map(f, m, n) for f in space.maps), space
@@ -339,6 +245,12 @@ def boolean_differentials_at(
     )
 
     if cross_check:
+        from .differential import (
+            DifferentialQuery,
+            differentials_at,
+            differentials_by_theorem,
+        )
+
         oracle = _differentials_by_matrix_sweep(f, b_idx)
         if oracle != result:
             raise CrossCheckMismatch(
@@ -479,17 +391,6 @@ def _has_differential(values, m: int, b: int) -> bool:
         if b >> k & 1:
             image ^= c
     return image == fb
-
-
-def row_anf(row: Sequence[int]) -> str:
-    """Render one matrix row as a polynomial over p, q, r, ..."""
-    terms = [anf._VARS[j] for j, bit in enumerate(row) if bit]
-    return "+".join(terms) if terms else "0"
-
-
-def matrix_anf(mt: GF2Matrix) -> str:
-    """Render a whole matrix as a tuple of row polynomials."""
-    return "(" + ", ".join(row_anf(r) for r in mt.bits) + ")"
 
 
 def solve_matrix_equation(f: BoolFunction, b: Sequence[int] | int) -> tuple[GF2Matrix, ...]:

@@ -36,7 +36,7 @@ from .spaces import (
     FiniteMap,
     MapSpace,
     ReflexiveDigraph,
-    hom_neighbor,
+    _hom_neighbor_criterion,
     is_continuous,
 )
 
@@ -169,9 +169,11 @@ def diff_space(
                     f"continuity at identity ({at_identity}) disagrees with global "
                     f"continuity ({globally}) for map {phi.values}"
                 )
+        # the loop above proved every listed map continuous, so the pair
+        # loop runs the generic criterion without re-checking continuity
         for i in range(len(maps)):
             for j in range(len(maps)):
-                generic = hom_neighbor(
+                generic = _hom_neighbor_criterion(
                     domain.digraph, codomain.digraph, maps[j], maps[i]
                 )
                 if generic != (j in space.nbhd[i]):

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 user error, 2 internal cross-check mismatch.
 The last one is deliberately distinct so CI treats soundness regressions
 differently from bad invocations.  Output is deterministic: identical
 invocations produce byte-identical stdout.
+
+Each call imports only what its subcommand runs: at module level this
+file loads just the error types and the size guards, and every handler
+imports its own library code.
 """
 
 from __future__ import annotations
@@ -11,50 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
 
-from . import anf, guards, scenarios
-from .boolean import (
-    BoolFunction,
-    GF2Matrix,
-    boolean_differentials_at,
-    hypercube,
-    matrix_anf,
-    point_index,
-    scalar_differentiability_census,
-)
-from .cayley import (
-    CayleyGraph,
-    cayley_graph,
-    diff_space,
-    left_mult_automorphism_check,
-)
-from .differential import (
-    DifferentialQuery,
-    differential_oracle,
-    differentials_at,
-    differentials_by_theorem,
-)
+from . import guards
 from .errors import CrossCheckMismatch, DimMismatch, Error
-from .groups import (
-    FiniteGroup,
-    GeneratingSet,
-    enumerate_homomorphisms,
-    group_from_json,
-    group_from_spec,
-    group_to_json,
-    validate_generating_set,
-)
-from .spaces import (
-    FiniteMap,
-    ReflexiveDigraph,
-    digraph_from_json,
-    digraph_to_json,
-    is_isolated,
-    map_from_json,
-    pentacle,
-    space_properties,
-)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    from .cayley import CayleyGraph
+    from .groups import FiniteGroup
+    from .spaces import FiniteMap, ReflexiveDigraph
 
 
 class _UsageError(Exception):
@@ -81,6 +52,8 @@ def _print_json(data) -> None:
 
 def _load_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...] | None]:
     """Group plus its canonical generators; file groups have none."""
+    from .groups import group_from_json, group_from_spec
+
     if spec.startswith("file:"):
         with open(spec[len("file:") :], "r", encoding="utf-8") as fh:
             return group_from_json(json.load(fh)), None
@@ -129,6 +102,8 @@ def _bits_of(token: str) -> tuple[int, ...] | None:
 
 
 def _resolve_point(token: str, group: FiniteGroup) -> int:
+    from .gf2 import point_index
+
     bits = _bits_of(token)
     dim = _z2_dim(group)
     if bits is not None:
@@ -166,6 +141,8 @@ def _resolve_bool_point(token: str, m: int) -> tuple[int, ...]:
 
 
 def _build_cayley(spec: str, gens_flag: str | None) -> CayleyGraph:
+    from .cayley import cayley_graph
+
     group, canonical = _load_group(spec)
     if gens_flag is not None:
         gens = _resolve_elements(gens_flag, group)
@@ -179,6 +156,8 @@ def _build_cayley(spec: str, gens_flag: str | None) -> CayleyGraph:
 def _load_function(
     fn: str | None, poly: str | None, dom: FiniteGroup, cod: FiniteGroup
 ) -> FiniteMap:
+    from .spaces import FiniteMap, map_from_json
+
     if poly is not None:
         fn = "poly:" + poly
     if fn is None:
@@ -193,6 +172,8 @@ def _load_function(
             )
         return f
     if fn.startswith("poly:"):
+        from .boolean import BoolFunction
+
         # the order-1 group is the 0-cube here, which _z2_dim leaves out
         m, n = (0 if g.order == 1 else _z2_dim(g) for g in (dom, cod))
         if m is None or n is None:
@@ -249,6 +230,9 @@ def emit_dot(digraph: ReflexiveDigraph, names: Sequence[str] | None = None) -> s
 def _map_payload(f: FiniteMap, m: int | None, n: int | None) -> dict:
     data: dict = {"values": list(f.values)}
     if m is not None and n is not None:
+        from .anf import matrix_anf
+        from .gf2 import GF2Matrix
+
         # a homomorphism between z2 powers is a matrix
         mt = GF2Matrix.from_finite_map(f, m, n)
         data["rows"] = [list(r) for r in mt.bits]
@@ -260,6 +244,8 @@ def _map_payload(f: FiniteMap, m: int | None, n: int | None) -> dict:
 
 
 def _cmd_group(ns) -> int:
+    from .groups import enumerate_homomorphisms, group_to_json, validate_generating_set
+
     group, _ = _load_group(ns.group)
     data = group_to_json(group)
     if ns.gens is not None:
@@ -276,6 +262,9 @@ def _cmd_group(ns) -> int:
 
 
 def _cmd_cayley(ns) -> int:
+    from .cayley import left_mult_automorphism_check
+    from .spaces import digraph_to_json
+
     c = _build_cayley(ns.group, ns.gens)
     if ns.check:
         result = left_mult_automorphism_check(c)
@@ -295,10 +284,14 @@ def _cmd_cayley(ns) -> int:
 
 
 def _cmd_space(ns) -> int:
+    from .spaces import digraph_from_json, digraph_to_json, pentacle, space_properties
+
     names = None
     if ns.pentacle:
         digraph = pentacle()
     elif ns.hypercube is not None:
+        from .boolean import hypercube
+
         digraph = hypercube(ns.hypercube).digraph
         names = [
             format(v, "0%db" % ns.hypercube) if ns.hypercube else "()"
@@ -333,6 +326,9 @@ def _cmd_space(ns) -> int:
 
 
 def _cmd_diffspace(ns) -> int:
+    from .cayley import diff_space
+    from .spaces import is_isolated
+
     dom = _build_cayley(ns.dom, ns.dom_gens)
     cod = _build_cayley(ns.cod, ns.cod_gens)
     space = diff_space(dom, cod, cross_check=ns.oracle)
@@ -348,6 +344,14 @@ def _cmd_diffspace(ns) -> int:
 
 
 def _cmd_diff(ns) -> int:
+    from .cayley import diff_space
+    from .differential import (
+        DifferentialQuery,
+        differential_oracle,
+        differentials_at,
+        differentials_by_theorem,
+    )
+
     dom = _build_cayley(ns.dom, ns.dom_gens)
     cod = _build_cayley(ns.cod, ns.cod_gens)
     f = _load_function(ns.fn, ns.f, dom.group, cod.group)
@@ -381,7 +385,9 @@ def _cmd_diff(ns) -> int:
 
 
 def _cmd_bool_diff(ns) -> int:
-    names = anf._VARS
+    from .anf import _VARS as names, matrix_anf
+    from .boolean import BoolFunction, boolean_differentials_at
+
     if ns.m > len(names):
         raise DimMismatch(
             f"--m {ns.m}: differentials print in polynomial notation, which names "
@@ -412,6 +418,8 @@ def _cmd_bool_diff(ns) -> int:
 
 
 def _cmd_bool_census(ns) -> int:
+    from .boolean import BoolFunction, scalar_differentiability_census
+
     f = BoolFunction.from_source(ns.f, m=ns.m)
     report = scalar_differentiability_census(f)
     if ns.json:
@@ -434,6 +442,8 @@ def _cmd_bool_census(ns) -> int:
 
 
 def _cmd_examples(ns) -> int:
+    from . import scenarios
+
     results = scenarios.run_suite(ns.suite)
     width = max(len(r.name) for r in results)
     failed = 0
@@ -519,7 +529,9 @@ def _build_parser() -> _Parser:
     b.set_defaults(handler=_cmd_bool_census)
 
     p = sub.add_parser("examples", help="run a canned scenario suite")
-    p.add_argument("--suite", default="paper", choices=sorted(scenarios.SUITES))
+    # no choices list: that would import the scenarios; run_suite
+    # rejects an unknown name with exit 1
+    p.add_argument("--suite", default="paper", help="scenario suite (paper)")
     p.set_defaults(handler=_cmd_examples)
 
     return parser

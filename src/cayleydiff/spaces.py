@@ -188,6 +188,14 @@ def hom_neighbor(
         raise NotContinuous("first map is not continuous")
     if not is_continuous(dom, cod, g):
         raise NotContinuous("second map is not continuous")
+    return _hom_neighbor_criterion(dom, cod, f, g)
+
+
+def _hom_neighbor_criterion(
+    dom: ReflexiveDigraph, cod: ReflexiveDigraph, f: FiniteMap, g: FiniteMap
+) -> bool:
+    """:func:`hom_neighbor` for callers that already know both maps are
+    continuous; it checks neither."""
     for b, nb in enumerate(dom.nbhd):
         target = cod.nbhd[g.values[b]]
         for a in nb:

@@ -387,10 +387,12 @@ def test_cross_check_on_larger_cubes(dims, data):
 
 
 def test_cross_check_runs_the_theorem_route(monkeypatch):
-    import cayleydiff.boolean as boolean
+    # the cross-check imports the theorem route when it runs, so the
+    # patch goes on the module that defines it
+    import cayleydiff.differential as differential
 
     f = BoolFunction.from_source(F_SOURCE)
-    monkeypatch.setattr(boolean, "differentials_by_theorem", lambda q: ())
+    monkeypatch.setattr(differential, "differentials_by_theorem", lambda q: ())
     assert boolean_differentials_at(f, (1, 1)) == (F_MATRIX,)
     with pytest.raises(CrossCheckMismatch, match="theorem route"):
         boolean_differentials_at(f, (1, 1), cross_check=True)
@@ -697,3 +699,15 @@ def test_anf_rendering():
     assert matrix_anf(GF2Matrix.zero(2, 2)) == "(0, 0)"
     assert matrix_anf(F_MATRIX) == "(p, 0, q)"
     assert matrix_anf(G_MATRIX) == "(q+r, 0)"
+
+
+def test_anf_rendering_refuses_unnamed_variables():
+    # the notation names 11 variables; a 12-column row renders while its
+    # last column is zero and raises a typed error once it is not
+    assert row_anf((1,) * 11 + (0,)) == "p+q+r+s+t+u+v+w+x+y+z"
+    assert row_anf((0,) * 12) == "0"
+    with pytest.raises(DimMismatch, match="variable 12 has no name"):
+        row_anf((0,) * 11 + (1,))
+    with pytest.raises(DimMismatch, match="11 variables p..z"):
+        matrix_anf(GF2Matrix.from_columns(1, [(0,)] * 11 + [(1,)]))
+    assert anf.row_anf is row_anf and anf.matrix_anf is matrix_anf

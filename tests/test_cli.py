@@ -73,7 +73,11 @@ def test_function_sources_are_mutually_exclusive(capsys):
 
 
 def test_cross_check_failure_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "differentials_by_theorem", lambda q: ())
+    # handlers import their routes when they run, so the patch goes on
+    # the module that defines the theorem route
+    import cayleydiff.differential as differential
+
+    monkeypatch.setattr(differential, "differentials_by_theorem", lambda q: ())
     err = run_err(
         capsys,
         [
@@ -502,6 +506,20 @@ def test_bool_diff_refuses_more_variables_than_the_notation_names(capsys, extra)
     assert "11 variables p..z" in captured.err
 
 
+def test_diff_payload_refuses_a_twelfth_variable_with_a_typed_error():
+    # `diff --dom z2^12 --cod z2^1 --f p --at 0` reaches this rendering;
+    # run end to end it takes about 20 s, so CI runs it in the bare venv
+    from cayleydiff.errors import DimMismatch, Error
+    from cayleydiff.spaces import FiniteMap
+
+    last_bit = FiniteMap(2**12, 2, tuple(x & 1 for x in range(2**12)))
+    with pytest.raises(DimMismatch, match="variable 12 has no name") as info:
+        cli._map_payload(last_bit, 12, 1)
+    assert isinstance(info.value, Error)  # cli.run maps it to exit 1
+    first_bit = FiniteMap(2**12, 2, tuple(x >> 11 for x in range(2**12)))
+    assert cli._map_payload(first_bit, 12, 1)["anf"] == "(p)"
+
+
 def test_bool_diff_renders_all_eleven_variables(capsys):
     out = run_ok(capsys, ["bool", "diff", "--m", "11", "--f", "p", "--at", "0"])
     lines = out.splitlines()
@@ -621,6 +639,90 @@ def test_benchmark_cli_calls_match_frozen_digests(capsys):
     for argv in BENCH_CLI_CALLS:
         out = run_ok(capsys, argv)
         assert hashlib.sha256(out.encode()).hexdigest() == want[" ".join(argv)], argv
+
+
+# ---------------------------------------------------------- import footprint
+
+# the cayleydiff modules each benchmark call loads, besides cli, errors
+# and guards; only examples loads the scenarios, and the Boolean calls
+# load no group code
+GROUP_CODE = {"groups", "spaces"}
+BOOLEAN_CODE = {"anf", "boolean", "gf2"}
+CALL_FOOTPRINTS = {
+    "examples": GROUP_CODE | BOOLEAN_CODE | {"cayley", "differential", "scenarios"},
+    "group": GROUP_CODE,
+    "cayley": GROUP_CODE | {"cayley"},
+    "space": GROUP_CODE | BOOLEAN_CODE | {"cayley"},
+    "diffspace": GROUP_CODE | {"anf", "gf2", "cayley"},
+    "diff": GROUP_CODE | BOOLEAN_CODE | {"cayley", "differential"},
+    "bool": BOOLEAN_CODE,
+}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The cayleydiff submodules a fresh interpreter holds after ``code``."""
+    script = code + textwrap.dedent("""
+        import sys
+        print(" ".join(m for m in sys.modules if m.startswith("cayleydiff.")))
+    """)
+    src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m[len("cayleydiff."):] for m in proc.stdout.split()}
+
+
+def test_importing_the_cli_loads_only_errors_and_guards():
+    assert loaded_modules("import cayleydiff") == set()
+    assert loaded_modules("import cayleydiff.cli") == {"cli", "errors", "guards"}
+
+
+@pytest.mark.parametrize("argv", BENCH_CLI_CALLS, ids=" ".join)
+def test_each_call_loads_only_what_its_subcommand_runs(argv):
+    code = textwrap.dedent(f"""
+        import contextlib, io
+        from cayleydiff import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run({argv!r})
+        if code:
+            raise SystemExit(code)
+    """)
+    want = CALL_FOOTPRINTS[argv[0]] | {"cli", "errors", "guards"}
+    assert loaded_modules(code) == want
+
+
+def test_lazy_package_serves_every_public_name():
+    import importlib
+
+    for name in cayleydiff.__all__:
+        module = importlib.import_module(f"cayleydiff.{cayleydiff._EXPORTS[name]}")
+        assert getattr(cayleydiff, name) is getattr(module, name), name
+        assert name in dir(cayleydiff)
+    # every name the package exported when it imported eagerly
+    assert set(cayleydiff.__all__) == {
+        "BoolFunction", "GF2Matrix", "boolean_differentials_at", "hypercube",
+        "is_differentiable_at", "leibniz_probe", "scalar_differentiability_census",
+        "solve_matrix_equation", "CayleyGraph", "cayley_graph", "diff_space",
+        "left_mult_automorphism_check", "DifferentialQuery", "chain_rule_check",
+        "differential_oracle", "differentials_at", "differentials_by_theorem",
+        "integers_differentiable_at", "t1_forces_value_check", "FiniteGroup",
+        "GeneratingSet", "closure", "cyclic_group", "direct_sum", "element_order",
+        "enumerate_homomorphisms", "group_from_table", "symmetric_group",
+        "validate_generating_set", "z2_power_group", "FiniteMap", "MapSpace",
+        "PrincipalFilter", "ReflexiveDigraph", "box_product", "categorical_product",
+        "continuous_maps", "converges", "hom_neighbor", "is_continuous",
+        "is_continuous_at", "is_isolated", "pentacle", "space_properties",
+    }
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cayleydiff.no_such_name
+    from cayleydiff import boolean
+
+    assert boolean.GF2Matrix is cayleydiff.GF2Matrix
+    assert {"boolean", "spaces", "anf"} <= set(dir(cayleydiff))
 
 
 @pytest.mark.parametrize(

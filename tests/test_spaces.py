@@ -12,6 +12,7 @@ from cayleydiff.errors import (
 )
 from cayleydiff.spaces import (
     FiniteMap,
+    _hom_neighbor_criterion,
     MapSpace,
     PrincipalFilter,
     ReflexiveDigraph,
@@ -184,6 +185,24 @@ def test_hom_neighbor_matches_definition(data):
         for a in dom.nbhd[b]
     )
     assert hom_neighbor(dom, cod, f, g) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(3), digraphs(3), st.data())
+def test_pair_loop_criterion_matches_hom_neighbor(dom, cod, data):
+    # diff_space's cross-check pair loop runs the criterion without
+    # hom_neighbor's continuity checks, on maps it has proved continuous
+    maps = continuous_maps(dom, cod)
+    for f in maps:
+        for g in maps:
+            assert _hom_neighbor_criterion(dom, cod, f, g) == hom_neighbor(dom, cod, f, g)
+    values = tuple(data.draw(st.integers(0, cod.size - 1)) for _ in range(dom.size))
+    h = FiniteMap(dom.size, cod.size, values)
+    if not is_continuous(dom, cod, h):
+        with pytest.raises(NotContinuous, match="first map"):
+            hom_neighbor(dom, cod, h, maps[0])
+        with pytest.raises(NotContinuous, match="second map"):
+            hom_neighbor(dom, cod, maps[0], h)
 
 
 def test_continuous_maps_counts():
