@@ -80,13 +80,19 @@ def _resolve_elements(tokens: str, group: FiniteGroup) -> tuple[int, ...]:
 
 def _z2_dim(group: FiniteGroup) -> int | None:
     """Dimension m >= 1 when the group is literally the z2^m table, where
-    a*b = a XOR b on the indices; else None."""
+    a*b = a XOR b on the indices; else None.
+
+    Only the rows of the unit vectors 2^k are compared: row a is left
+    multiplication by a, row a*b is row a after row b by associativity,
+    and every index is a product of unit vectors, so XOR rows for them
+    make every row XOR.
+    """
     n = group.order
     m = n.bit_length() - 1
     if m < 1 or 2**m != n:
         return None
-    for i, row in enumerate(group.table):
-        if row != tuple(map(i.__xor__, range(n))):
+    for k in range(m):
+        if group.table[2**k] != tuple(map((2**k).__xor__, range(n))):
             return None
     return m
 
@@ -101,11 +107,11 @@ def _bits_of(token: str) -> tuple[int, ...] | None:
     return None
 
 
-def _resolve_point(token: str, group: FiniteGroup) -> int:
+def _resolve_point(token: str, group: FiniteGroup, dim: int | None) -> int:
+    """``dim`` is ``_z2_dim(group)``."""
     from .gf2 import point_index
 
     bits = _bits_of(token)
-    dim = _z2_dim(group)
     if bits is not None:
         if dim is None or len(bits) != dim:
             raise ValueError(f"point tuple {token!r} does not fit the domain group")
@@ -154,8 +160,13 @@ def _build_cayley(spec: str, gens_flag: str | None) -> CayleyGraph:
 
 
 def _load_function(
-    fn: str | None, poly: str | None, dom: FiniteGroup, cod: FiniteGroup
+    fn: str | None,
+    poly: str | None,
+    dom: FiniteGroup,
+    cod: FiniteGroup,
+    dims: tuple[int | None, int | None],
 ) -> FiniteMap:
+    """``dims`` is ``_z2_dim`` of the two groups."""
     from .spaces import FiniteMap, map_from_json
 
     if poly is not None:
@@ -175,7 +186,7 @@ def _load_function(
         from .boolean import BoolFunction
 
         # the order-1 group is the 0-cube here, which _z2_dim leaves out
-        m, n = (0 if g.order == 1 else _z2_dim(g) for g in (dom, cod))
+        m, n = (0 if g.order == 1 else d for g, d in zip((dom, cod), dims))
         if m is None or n is None:
             raise ValueError("polynomial sources need z2^m domain and codomain")
         f = BoolFunction.from_source(fn[len("poly:") :], m=m)
@@ -354,8 +365,9 @@ def _cmd_diff(ns) -> int:
 
     dom = _build_cayley(ns.dom, ns.dom_gens)
     cod = _build_cayley(ns.cod, ns.cod_gens)
-    f = _load_function(ns.fn, ns.f, dom.group, cod.group)
-    a = _resolve_point(ns.at, dom.group)
+    m, n = _z2_dim(dom.group), _z2_dim(cod.group)
+    f = _load_function(ns.fn, ns.f, dom.group, cod.group, (m, n))
+    a = _resolve_point(ns.at, dom.group, m)
     space = diff_space(dom, cod, cross_check=ns.oracle)
     query = DifferentialQuery(space, f, a)
     found = differentials_at(query)
@@ -373,7 +385,6 @@ def _cmd_diff(ns) -> int:
                     f"at point {a}"
                 )
             checked.append(label)
-    m, n = _z2_dim(dom.group), _z2_dim(cod.group)
     data = {
         "point": a,
         "count": len(found),

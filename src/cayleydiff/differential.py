@@ -76,26 +76,33 @@ class DifferentialQuery:
 def differentials_at(q: DifferentialQuery) -> tuple[int, ...]:
     """Indices of all differentials of f at a, sorted ascending.
 
-    Uses bitmask intersection: for each x near a, collect the maps that
-    agree with f at x; L qualifies when every such mask meets N(L).
+    Uses bitmask intersection over map indices: for each x near a, the
+    maps that agree with f at x form a match mask, and L qualifies when
+    every match mask meets N(L).  The masks come from state the space
+    derives once and keeps: the neighbourhood masks, and the match mask
+    of each (x, value) pair, built the first time it is asked for.  A
+    point with an empty match mask rules out every L at once, and an
+    isolated L (N(L) = {L}) qualifies exactly when its bit survives the
+    AND of all match masks.
     """
-    maps = q.space.maps
+    space = q.space
     fv = q.f.values
-    match_masks = []
-    for x in sorted(q.space.domain.nbhd[q.a]):
-        mask = 0
-        want = fv[x]
-        for k, m in enumerate(maps):
-            if m.values[x] == want:
-                mask |= 1 << k
-        match_masks.append(mask)
-    out = []
-    for i in range(len(maps)):
-        nb = 0
-        for j in q.space.nbhd[i]:
-            nb |= 1 << j
-        if all(nb & mm for mm in match_masks):
-            out.append(i)
+    matches = []
+    common = -1  # every bit set
+    for x in space.domain.nbhd[q.a]:
+        mask = space._match_mask(x, fv[x])
+        if not mask:
+            return ()
+        matches.append(mask)
+        common &= mask
+    isolated, others = space._nbhd_masks
+    out = [i for i, nb in others if all(nb & mm for mm in matches)]
+    hits = common & isolated
+    while hits:
+        low = hits & -hits
+        out.append(low.bit_length() - 1)
+        hits ^= low
+    out.sort()
     return tuple(out)
 
 

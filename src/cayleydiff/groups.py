@@ -212,6 +212,13 @@ def symmetric_group(n: int) -> FiniteGroup:
     the swap of 0 and 1, matching the usual rotation/reflection
     presentation; larger n uses lexicographic one-line order with
     one-line names.
+
+    The table is built from the n - 1 adjacent transpositions s, which
+    generate S_n.  ``left[s]`` is the index permutation x -> s*x, one
+    composition per element.  Row s*p is then row p with ``left[s]``
+    applied to every entry, since (s*p)*q = s*(p*q), so a breadth-first
+    walk from the identity row fills the table one whole-row
+    ``itemgetter`` at a time.
     """
     if not 1 <= n <= 5:
         raise MalformedTable(f"symmetric group supported for 1 <= n <= 5, got {n}")
@@ -226,9 +233,27 @@ def symmetric_group(n: int) -> FiniteGroup:
         elems = sorted(itertools.permutations(range(n)))
         names = tuple("".join(map(str, p)) for p in elems)
     index = {p: i for i, p in enumerate(elems)}
-    # column q: itemgetter(*q)(p) = p*q for every p
-    columns = [list(map(index.__getitem__, map(itemgetter(*q), elems))) for q in elems]
-    return FiniteGroup(len(elems), tuple(zip(*columns)), names=names)
+    after = [itemgetter(*x) for x in elems]  # after[x](s) = s*x
+    lefts = []
+    for k in range(n - 1):
+        s = list(range(n))
+        s[k], s[k + 1] = k + 1, k
+        lefts.append(tuple(index[x(s)] for x in after))
+    # both element orders start with the identity
+    rows: list = [None] * len(elems)
+    rows[0] = tuple(range(len(elems)))
+    frontier = [0]
+    while frontier:
+        reached = []
+        for p in frontier:
+            apply_row_p = itemgetter(*rows[p])  # apply_row_p(left) = row s*p
+            for left in lefts:
+                sp = left[p]
+                if rows[sp] is None:
+                    rows[sp] = apply_row_p(left)
+                    reached.append(sp)
+        frontier = reached
+    return FiniteGroup(len(elems), tuple(rows), names=names)
 
 
 def z2_power_group(n: int) -> FiniteGroup:
@@ -456,7 +481,7 @@ def _homs_along_tree(
     phi = [h.identity] * g.order
     _extend_stages(0, stages, options, th, phi, [h.identity] * len(gens), out)
     out.sort()
-    return tuple(FiniteMap(g.order, h.order, v) for v in out)
+    return FiniteMap._trusted(g.order, h.order, out)
 
 
 def _extend_stages(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import guards
@@ -69,6 +70,26 @@ class FiniteMap:
         for v in self.values:
             if not 0 <= v < self.cod_size:
                 raise DimMismatch(f"value {v} outside codomain 0..{self.cod_size - 1}")
+
+    @classmethod
+    def _trusted(
+        cls, dom_size: int, cod_size: int, value_tuples: Iterable[tuple[int, ...]]
+    ) -> tuple["FiniteMap", ...]:
+        """Maps for value tuples the library computed itself, which fit
+        the carriers by construction: neither ``__init__`` nor the
+        validation runs.  Public construction always validates."""
+        new, set_field = object.__new__, object.__setattr__
+
+        def make(values):
+            f = new(cls)
+            # past the frozen __setattr__, one field at a time, which keeps
+            # the compact attribute storage (reading f.__dict__ would not)
+            set_field(f, "dom_size", dom_size)
+            set_field(f, "cod_size", cod_size)
+            set_field(f, "values", values)
+            return f
+
+        return tuple(map(make, value_tuples))
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -204,6 +225,9 @@ def _hom_neighbor_criterion(
     return True
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class MapSpace:
     """A chosen space of continuous maps with its convergence structure.
@@ -213,6 +237,11 @@ class MapSpace:
     Cayley graphs when the space is D(C, D), as built by
     :func:`cayleydiff.cayley.diff_space`; their digraphs are ``domain``
     and ``codomain``.
+
+    The bitmasks over map indices that
+    :func:`cayleydiff.differential.differentials_at` reads are derived
+    from the fields on first use and kept on the instance; they are not
+    fields, so equality, hashing and repr ignore them.
     """
 
     domain: ReflexiveDigraph
@@ -220,6 +249,46 @@ class MapSpace:
     maps: tuple[FiniteMap, ...]
     nbhd: tuple[frozenset[int], ...]
     cayley: "tuple[CayleyGraph, CayleyGraph] | None" = None
+
+    @cached_property
+    def _nbhd_masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The isolated maps (``nbhd[i] == {i}``) as one bitmask, and
+        ``(i, bitmask of nbhd[i])`` for every other map."""
+        isolated = 0
+        others = []
+        for i, nb in enumerate(self.nbhd):
+            if nb == frozenset((i,)):
+                isolated |= 1 << i
+            else:
+                others.append((i, sum(1 << j for j in nb)))
+        return isolated, tuple(others)
+
+    @cached_property
+    def _match_masks(self) -> dict[tuple[int, int], int]:
+        """Filled by :meth:`_match_mask`, one (point, value) at a time."""
+        return {}
+
+    @cached_property
+    def _values_last_first(self) -> tuple[tuple[int, ...], ...]:
+        """The value tuples of the maps, last map first."""
+        return tuple(m.values for m in reversed(self.maps))
+
+    def _match_mask(self, x: int, value: int) -> int:
+        """Bitmask of the maps k with ``maps[k](x) == value``."""
+        key = (x, value)
+        mask = self._match_masks.get(key)
+        if mask is None:
+            column = map(operator.itemgetter(x), self._values_last_first)
+            try:
+                bits = bytes(map(operator.eq, column, itertools.repeat(value)))
+            except TypeError:  # == gave non-bool results, as numpy scalars do
+                column = map(operator.itemgetter(x), self._values_last_first)
+                bits = bytes(map(bool, map(operator.eq, column, itertools.repeat(value))))
+            # one "0"/"1" byte per map, last map first, read as a binary
+            # number; the leading "0" covers a space with no maps
+            mask = int(b"0" + bits.translate(_BIT_CHARS), 2)
+            self._match_masks[key] = mask
+        return mask
 
     @classmethod
     def from_diff_space(cls, space: "MapSpace") -> "MapSpace":

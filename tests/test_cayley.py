@@ -20,10 +20,13 @@ from cayleydiff.groups import (
     GeneratingSet,
     cyclic_group,
     direct_sum,
+    enumerate_homomorphisms,
+    group_from_spec,
     symmetric_group,
     z2_power_group,
 )
 from cayleydiff.spaces import (
+    FiniteMap,
     ReflexiveDigraph,
     box_product,
     is_continuous,
@@ -212,3 +215,21 @@ def test_diff_space_is_frozen():
     space = diff_space(c, c)
     with pytest.raises(dataclasses.FrozenInstanceError):
         space.maps = ()
+
+
+@pytest.mark.parametrize(
+    "dom, cod", [("s:4", "z2^3"), ("z2^3", "z2^2"), ("cyclic:6", "s:3"), ("cyclic:1", "z2^1")]
+)
+def test_library_built_maps_equal_validated_maps(dom, cod):
+    # homomorphisms skip FiniteMap validation; they must be
+    # indistinguishable from maps built through the public constructor
+    (g, g_gens), (h, h_gens) = group_from_spec(dom), group_from_spec(cod)
+    space = diff_space(cayley_graph(g, g_gens), cayley_graph(h, h_gens))
+    for phi in enumerate_homomorphisms(g, h) + space.maps:
+        built = FiniteMap(g.order, h.order, phi.values)
+        assert type(phi) is FiniteMap
+        assert phi == built and built == phi and hash(phi) == hash(built)
+        assert repr(phi) == repr(built)
+        assert (phi.dom_size, phi.cod_size) == (g.order, h.order)
+        assert type(phi.values) is tuple
+        assert all(type(v) is int and 0 <= v < h.order for v in phi.values)

@@ -395,7 +395,16 @@ def test_diff_rejects_tuple_point_outside_cubes(capsys):
 def test_diff_without_function_source_is_a_value_error():
     s3, _ = group_from_spec("s:3")
     with pytest.raises(ValueError, match="needs a function source"):
-        cli._load_function(None, None, s3, s3)
+        cli._load_function(None, None, s3, s3, (None, None))
+
+
+def test_diff_finds_each_z2_dimension_once(capsys, monkeypatch):
+    seen = []
+    z2_dim = cli._z2_dim
+    monkeypatch.setattr(cli, "_z2_dim", lambda g: seen.append(g.order) or z2_dim(g))
+    out = run_ok(capsys, ["diff", "--dom", "z2^2", "--cod", "z2^1", "--f", "p", "--at", "01"])
+    assert [d["anf"] for d in json.loads(out)["differentials"]] == ["(0)", "(p)", "(q)", "(p+q)"]
+    assert sorted(seen) == [2, 4]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

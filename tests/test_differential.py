@@ -141,6 +141,21 @@ def test_random_s3_queries_agree(s3_to_s3):
         assert got == differential_oracle(q, literal=True)
 
 
+def test_numpy_valued_function_agrees():
+    # numpy scalars compare to ints with numpy booleans, not bool; a
+    # fresh space, so no match mask was built from plain ints first
+    np = pytest.importorskip("numpy")
+    space = _space(symmetric_group(3), (1, 3), symmetric_group(3), (1, 3))
+    rng = random.Random(34)
+    for _ in range(20):
+        values = tuple(np.array([rng.randrange(6) for _ in range(6)]))
+        f, plain = FiniteMap(6, 6, values), FiniteMap(6, 6, tuple(map(int, values)))
+        for a in range(6):
+            got = differentials_at(DifferentialQuery(space, f, a))
+            assert got == differential_oracle(DifferentialQuery(space, f, a))
+            assert got == differentials_at(DifferentialQuery(space, plain, a))
+
+
 def test_theorem_route_needs_cayley_structure():
     cube = cayley_graph(z2_power_group(2), GeneratingSet((1, 2))).digraph
     space = MapSpace.from_continuous_maps(cube, cube, continuous_maps(cube, cube))

@@ -4,6 +4,8 @@
 - ``diff_space`` against its ``cross_check=True`` rebuild
 - ``group_from_table`` against the full associativity sweep (kept here
   as ``_reference_group_from_table``)
+- ``differentials_at`` against ``differential_oracle`` and, on D(C,D),
+  ``differentials_by_theorem``
 """
 
 import functools
@@ -17,6 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleydiff.cayley import cayley_graph, diff_space
+from cayleydiff.differential import (
+    DifferentialQuery,
+    differential_oracle,
+    differentials_at,
+    differentials_by_theorem,
+)
 from cayleydiff.groups import (
     _enumerate_homomorphisms_sweep,
     _greedy_generators,
@@ -33,7 +41,15 @@ from cayleydiff.errors import (
     NotAssociative,
     SizeGuardExceeded,
 )
-from cayleydiff.spaces import is_continuous, is_isolated
+from cayleydiff.spaces import (
+    FiniteMap,
+    MapSpace,
+    ReflexiveDigraph,
+    continuous_maps,
+    is_continuous,
+    is_isolated,
+    pentacle,
+)
 
 # cyclic, symmetric, z2^k and direct sums, orders 1..48
 SPECS = (
@@ -232,3 +248,71 @@ def test_in_range_corruptions_reach_the_associativity_check():
         assert _outcome(group_from_table, table, None) == want
         seen.add(want[0] if isinstance(want[0], type) else "valid")
     assert NotAssociative in seen
+
+
+# ------------------------------------------------------------ differentials
+
+
+def _random_function(space, rng):
+    """Random values, mostly the identity element 0, or a member of the
+    space with a few values changed, so that every branch of the
+    criterion (no match, isolated and non-isolated hits) is reached."""
+    n, k = space.domain.size, space.codomain.size
+    shape = rng.randrange(3)
+    if shape == 0 or not space.maps:
+        values = [rng.randrange(k) for _ in range(n)]
+    elif shape == 1:
+        values = [0 if rng.random() < 0.75 else rng.randrange(k) for _ in range(n)]
+    else:
+        values = list(rng.choice(space.maps).values)
+        for x in rng.sample(range(n), rng.randrange(min(n, 3) + 1)):
+            values[x] = rng.randrange(k)
+    return FiniteMap(n, k, tuple(values))
+
+
+def _check_every_point(space, f):
+    for a in range(space.domain.size):
+        q = DifferentialQuery(space, f, a)
+        found = differentials_at(q)
+        assert found == differential_oracle(q), (f.values, a)
+        if space.cayley is not None:
+            assert found == differentials_by_theorem(q), (f.values, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIFF_PAIRS), st.randoms(use_true_random=False))
+def test_differentials_at_matches_oracle_and_theorem(pair, rng):
+    space = diff_space(graph(pair[0]), graph(pair[1]))
+    # the space keeps the masks it derives, so several functions share them
+    for _ in range(3):
+        _check_every_point(space, _random_function(space, rng))
+
+
+@st.composite
+def small_digraphs(draw):
+    """Random reflexive digraphs on 1..3 vertices, or the pentacle; most
+    neighbourhoods are not symmetric."""
+    if draw(st.integers(0, 4)) == 0:
+        return pentacle()
+    n = draw(st.integers(1, 3))
+    return ReflexiveDigraph(
+        tuple(draw(st.frozensets(st.integers(0, n - 1))) | {v} for v in range(n))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _all_continuous_maps(dom, cod):
+    return continuous_maps(dom, cod)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_digraphs(), small_digraphs(), st.randoms(use_true_random=False))
+def test_differentials_at_matches_oracle_on_generic_spaces(dom, cod, rng):
+    maps = _all_continuous_maps(dom, cod)
+    if len(maps) > 40:  # keep from_continuous_maps' pair loop small
+        maps = sorted(rng.sample(maps, 40), key=lambda m: m.values)
+    elif maps and rng.random() < 0.5:  # a subset leaves more maps isolated
+        maps = rng.sample(maps, rng.randrange(1, len(maps) + 1))
+    space = MapSpace.from_continuous_maps(dom, cod, maps)
+    for _ in range(3):
+        _check_every_point(space, _random_function(space, rng))

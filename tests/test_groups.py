@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ def test_symmetric_group_orders():
         symmetric_group(6)
 
 
+def _itemgetter_table(elems):
+    """The table as ``symmetric_group`` once built it: column q holds
+    ``itemgetter(*q)(p)`` = p*q for every p, one composition per entry."""
+    if len(elems) == 1:  # itemgetter with one index returns a bare int
+        return [[0]]
+    index = {p: i for i, p in enumerate(elems)}
+    columns = [[index[itemgetter(*q)(p)] for p in elems] for q in elems]
+    return [list(row) for row in zip(*columns)]
+
+
+# names of the group_from_spec("s:n") generators: the rotation i -> i+1
+# and the swap of 0 and 1
+SPEC_GENERATORS = {
+    1: [], 2: ["10"], 3: ["r", "t"], 4: ["1023", "1230"], 5: ["10234", "12340"]
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetric_group_matches_composition_table(n):
     # the table as it was built before: one composition per entry
@@ -83,7 +101,13 @@ def test_symmetric_group_matches_composition_table(n):
     want = [[index[_perm_compose(p, q)] for q in elems] for p in elems]
     g = symmetric_group(n)
     assert [list(row) for row in g.table] == want
+    assert [list(row) for row in g.table] == _itemgetter_table(elems)
     assert list(g.names) == names
+    spec_group, gens = group_from_spec(f"s:{n}")
+    assert spec_group == g and spec_group.names == g.names
+    assert [g.names[i] for i in gens] == SPEC_GENERATORS[n]
+    validated = group_from_table(g.table, g.names)
+    assert validated == g and validated.names == g.names
 
 
 def test_malformed_tables():

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayleydiff
 from cayleydiff.errors import (
     DimMismatch,
     MalformedTable,
@@ -78,6 +83,31 @@ def test_finite_map_validation():
         FiniteMap(2, 2, (0, 2))
     with pytest.raises(DimMismatch):
         FiniteMap.identity(3).compose(FiniteMap.identity(2))
+
+
+def test_finite_map_validation_survives_python_O():
+    # the public constructor checks with raise, not assert, which -O strips
+    script = textwrap.dedent("""
+        import sys
+        from cayleydiff.errors import DimMismatch
+        from cayleydiff.spaces import FiniteMap
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        for args in ((2, 2, (0,)), (2, 2, (0, 2)), (2, 2, (-1, 0))):
+            try:
+                FiniteMap(*args)
+            except DimMismatch:
+                continue
+            sys.exit(f"FiniteMap{args} was accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_finite_map_basics():
