@@ -22,7 +22,6 @@ _EXPORTS = {
     "BoolFunction": "boolean",
     "GF2Matrix": "gf2",
     "boolean_differentials_at": "boolean",
-    "hypercube": "boolean",
     "is_differentiable_at": "boolean",
     "leibniz_probe": "boolean",
     "scalar_differentiability_census": "boolean",
@@ -30,6 +29,7 @@ _EXPORTS = {
     "CayleyGraph": "cayley",
     "cayley_graph": "cayley",
     "diff_space": "cayley",
+    "hypercube": "cayley",
     "left_mult_automorphism_check": "cayley",
     "DifferentialQuery": "differential",
     "chain_rule_check": "differential",

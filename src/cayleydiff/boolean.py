@@ -18,16 +18,15 @@ Points are bit tuples; the index of a point spells its bits with
 variable 1 as the most significant bit.  Points and :class:`GF2Matrix`
 live in :mod:`cayleydiff.gf2`, the polynomial rendering in
 :mod:`cayleydiff.anf`; both are re-exported here.  The group calculus
-is imported only where it is used (:func:`hypercube`,
-:func:`linear_map_space`, the cross-check and the conversions to
-:class:`~cayleydiff.spaces.FiniteMap`), so classification and the
-census load no group code.
+is imported only where it is used (:func:`linear_map_space`, the
+cross-check and the conversions to :class:`~cayleydiff.spaces.FiniteMap`),
+so classification and the census load no group code; the hypercube
+itself is :func:`cayleydiff.cayley.hypercube`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import anf, gf2, guards
@@ -37,11 +36,12 @@ from .errors import (
     DimMismatch,
     NotContinuous,
     NotDifferentiable,
+    Record,
+    set_field,
 )
 from .gf2 import BoolPoint, GF2Matrix, index_point, neighborhood_indices, point_index
 
 if TYPE_CHECKING:
-    from .cayley import CayleyGraph
     from .spaces import FiniteMap, MapSpace
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "neighborhood_indices",
     "GF2Matrix",
     "BoolFunction",
-    "hypercube",
     "is_continuous_linear",
     "continuous_linear_maps",
     "linear_neighbors",
@@ -68,23 +67,33 @@ __all__ = [
     "leibniz_probe",
 ]
 
-@dataclass(frozen=True)
-class BoolFunction:
+
+class BoolFunction(Record):
     """Arbitrary function between hypercubes, stored as a dense table."""
 
     m: int
     n: int
     table: tuple[BoolPoint, ...]
+    __match_args__ = ("m", "n", "table")
 
-    def __post_init__(self):
-        guards.check("bool_table_dim", self.m, "boolean function table")
-        if len(self.table) != 2**self.m:
-            raise DimMismatch(
-                f"table of {len(self.table)} entries for a {self.m}-cube"
-            )
-        for out in self.table:
-            if len(out) != self.n or any(b not in (0, 1) for b in out):
-                raise DimMismatch(f"output {out!r} is not a {self.n}-bit point")
+    def __init__(self, m: int, n: int, table: tuple[BoolPoint, ...]):
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "table", table)
+        guards.check("bool_table_dim", m, "boolean function table")
+        if len(table) != 2**m:
+            raise DimMismatch(f"table of {len(table)} entries for a {m}-cube")
+        for out in table:
+            if len(out) != n or any(b not in (0, 1) for b in out):
+                raise DimMismatch(f"output {out!r} is not a {n}-bit point")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n, self.table) == (other.m, other.n, other.table)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.table))
 
     @classmethod
     def from_source(cls, source: str, m: int | None = None) -> "BoolFunction":
@@ -129,15 +138,6 @@ class BoolFunction:
             1,
             tuple((a[0] & b[0],) for a, b in zip(self.table, other.table)),
         )
-
-
-def hypercube(n: int) -> CayleyGraph:
-    """Cayley graph of the n-dimensional hypercube over unit vectors."""
-    from .cayley import cayley_graph
-    from .groups import GeneratingSet, z2_power_group
-
-    group = z2_power_group(n)
-    return cayley_graph(group, GeneratingSet(tuple(2**k for k in range(n))))
 
 
 def is_continuous_linear(matrix: GF2Matrix) -> bool:
@@ -201,7 +201,7 @@ def linear_map_space(m: int, n: int) -> tuple[tuple[GF2Matrix, ...], MapSpace]:
     generic differential machinery; the space carries both hypercubes
     as its Cayley payload.
     """
-    from .cayley import diff_space
+    from .cayley import diff_space, hypercube
 
     guards.check("bool_candidates", (n + 1) ** m, "continuous linear enumeration")
     space = diff_space(hypercube(m), hypercube(n))
@@ -435,12 +435,34 @@ def solve_matrix_equation(f: BoolFunction, b: Sequence[int] | int) -> tuple[GF2M
     return tuple(sorted(out, key=lambda mt: mt.bits))
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     m: int
     differentiable: tuple[bool, ...]
     expected: tuple[bool, ...]
     matches: bool
+    __match_args__ = ("m", "differentiable", "expected", "matches")
+
+    def __init__(
+        self,
+        m: int,
+        differentiable: tuple[bool, ...],
+        expected: tuple[bool, ...],
+        matches: bool,
+    ):
+        set_field(self, "m", m)
+        set_field(self, "differentiable", differentiable)
+        set_field(self, "expected", expected)
+        set_field(self, "matches", matches)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.differentiable, self.expected, self.matches) == (
+                other.m, other.differentiable, other.expected, other.matches
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.differentiable, self.expected, self.matches))
 
 
 def scalar_differentiability_census(f: BoolFunction) -> CensusReport:
@@ -464,19 +486,52 @@ def scalar_differentiability_census(f: BoolFunction) -> CensusReport:
     return CensusReport(f.m, got, expected, got == expected)
 
 
-@dataclass(frozen=True)
-class LeibnizTrial:
+class LeibnizTrial(Record):
     outer: GF2Matrix
     inner: GF2Matrix
     candidate: GF2Matrix
     is_differential: bool
+    __match_args__ = ("outer", "inner", "candidate", "is_differential")
+
+    def __init__(
+        self, outer: GF2Matrix, inner: GF2Matrix, candidate: GF2Matrix, is_differential: bool
+    ):
+        set_field(self, "outer", outer)
+        set_field(self, "inner", inner)
+        set_field(self, "candidate", candidate)
+        set_field(self, "is_differential", is_differential)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.outer, self.inner, self.candidate, self.is_differential) == (
+                other.outer, other.inner, other.candidate, other.is_differential
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.outer, self.inner, self.candidate, self.is_differential))
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(Record):
     total: int
     satisfied: int
     trials: tuple[LeibnizTrial, ...]
+    __match_args__ = ("total", "satisfied", "trials")
+
+    def __init__(self, total: int, satisfied: int, trials: tuple[LeibnizTrial, ...]):
+        set_field(self, "total", total)
+        set_field(self, "satisfied", satisfied)
+        set_field(self, "trials", trials)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.total, self.satisfied, self.trials) == (
+                other.total, other.satisfied, other.trials
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.total, self.satisfied, self.trials))
 
 
 def leibniz_probe(f: BoolFunction, g: BoolFunction, b: Sequence[int] | int) -> LeibnizReport:

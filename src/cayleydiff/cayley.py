@@ -11,6 +11,9 @@ members are neighbors exactly when both images fit inside
 {identity, d} for a single order-2 generator d of the codomain, so
 neighborhoods are read off one bucket of maps per such d.
 
+The hypercube B_n is the Cayley graph of z2^n over its unit vectors
+(:func:`hypercube`).
+
 The infinite integer line Z has no finite Cayley graph, so it has no
 ``MapSpace``.  :class:`IntegerMap` only names the two members of D(Z, Z),
 the zero map and the identity, for the window criterion
@@ -19,11 +22,10 @@ the zero map and the identity, for the window criterion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import CrossCheckMismatch, DimMismatch
+from .errors import CrossCheckMismatch, DimMismatch, Record, set_field
 from .groups import (
     FiniteGroup,
     GeneratingSet,
@@ -31,6 +33,7 @@ from .groups import (
     _homs_along_tree,
     element_order,
     validate_generating_set,
+    z2_power_group,
 )
 from .spaces import (
     FiniteMap,
@@ -43,6 +46,7 @@ from .spaces import (
 __all__ = [
     "CayleyGraph",
     "cayley_graph",
+    "hypercube",
     "AutomorphismCheck",
     "left_mult_automorphism_check",
     "diff_space",
@@ -51,18 +55,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(Record):
     group: FiniteGroup
     gens: GeneratingSet
     digraph: ReflexiveDigraph
+    __match_args__ = ("group", "gens", "digraph")
 
-    def __post_init__(self):
-        if self.digraph.size != self.group.order:
+    def __init__(self, group: FiniteGroup, gens: GeneratingSet, digraph: ReflexiveDigraph):
+        set_field(self, "group", group)
+        set_field(self, "gens", gens)
+        set_field(self, "digraph", digraph)
+        if digraph.size != group.order:
             raise DimMismatch(
-                f"digraph on {self.digraph.size} vertices for group of order "
-                f"{self.group.order}"
+                f"digraph on {digraph.size} vertices for group of order {group.order}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.gens, self.digraph) == (
+                other.group, other.gens, other.digraph
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.gens, self.digraph))
 
 
 def cayley_graph(group: FiniteGroup, gens: Iterable[int] | GeneratingSet) -> CayleyGraph:
@@ -75,6 +91,12 @@ def cayley_graph(group: FiniteGroup, gens: Iterable[int] | GeneratingSet) -> Cay
         for g in range(group.order)
     )
     return CayleyGraph(group, gens, ReflexiveDigraph(nbhd))
+
+
+def hypercube(n: int) -> CayleyGraph:
+    """Cayley graph of the n-dimensional hypercube over unit vectors."""
+    group = z2_power_group(n)
+    return cayley_graph(group, GeneratingSet(tuple(2**k for k in range(n))))
 
 
 class AutomorphismCheck(NamedTuple):

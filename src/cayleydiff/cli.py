@@ -301,7 +301,7 @@ def _cmd_space(ns) -> int:
     if ns.pentacle:
         digraph = pentacle()
     elif ns.hypercube is not None:
-        from .boolean import hypercube
+        from .cayley import hypercube
 
         digraph = hypercube(ns.hypercube).digraph
         names = [

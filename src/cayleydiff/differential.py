@@ -19,7 +19,6 @@ literal sweep over all principal filters at the point
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import guards
@@ -28,7 +27,9 @@ from .errors import (
     DimMismatch,
     HypothesisViolated,
     NotCayley,
+    Record,
     WindowTooSmall,
+    set_field,
 )
 from .groups import squares_subgroup
 from .spaces import (
@@ -52,25 +53,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DifferentialQuery:
+class DifferentialQuery(Record):
     space: MapSpace
     f: FiniteMap
     a: int
+    __match_args__ = ("space", "f", "a")
 
-    def __post_init__(self):
-        if self.f.dom_size != self.space.domain.size:
+    def __init__(self, space: MapSpace, f: FiniteMap, a: int):
+        set_field(self, "space", space)
+        set_field(self, "f", f)
+        set_field(self, "a", a)
+        n = space.domain.size
+        if f.dom_size != n:
+            raise DimMismatch(f"function domain {f.dom_size} != space domain {n}")
+        if f.cod_size != space.codomain.size:
             raise DimMismatch(
-                f"function domain {self.f.dom_size} != space domain "
-                f"{self.space.domain.size}"
+                f"function codomain {f.cod_size} != space codomain {space.codomain.size}"
             )
-        if self.f.cod_size != self.space.codomain.size:
-            raise DimMismatch(
-                f"function codomain {self.f.cod_size} != space codomain "
-                f"{self.space.codomain.size}"
-            )
-        if not 0 <= self.a < self.space.domain.size:
-            raise DimMismatch(f"point {self.a} outside the domain carrier")
+        if not 0 <= a < n:
+            raise DimMismatch(f"point {a} outside the domain carrier")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.f, self.a) == (other.space, other.f, other.a)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.f, self.a))
 
 
 def differentials_at(q: DifferentialQuery) -> tuple[int, ...]:
@@ -123,37 +132,65 @@ def differentials_by_theorem(q: DifferentialQuery) -> tuple[int, ...]:
     The squares subgroup is exactly the common kernel of all
     homomorphisms onto an order-2 subgroup, so it marks the points
     where no neighbor of L can produce a non-identity value.
+
+    The shape of every map and the squares subgroup are derived once per
+    space (:func:`_theorem_shapes`), so each call runs the isolated
+    tests, and the constant and pair tests once per shape.
     """
     if q.space.cayley is None:
         raise NotCayley("theorem route needs a diff space built from Cayley graphs")
-    dom, cod = q.space.cayley
-    e_h = cod.group.identity
-    order2 = _order2_generators(cod)
-    forced = squares_subgroup(dom.group)
-    near = sorted(q.space.domain.nbhd[q.a])
+    e_h, forced, allowed, isolated, constant, pairs = q.space._derive(
+        "theorem_shapes", _theorem_shapes
+    )
+    near = q.space.domain.nbhd[q.a]
     fv = q.f.values
 
-    out = []
-    for i, m in enumerate(q.space.maps):
-        if is_isolated(q.space, i):
-            ok = all(fv[x] == m.values[x] for x in near)
-        else:
-            image = m.image()
-            if image == frozenset((e_h,)):
-                allowed = frozenset((e_h,)) | order2
-                ok = all(
-                    fv[x] == e_h if x in forced else fv[x] in allowed for x in near
-                )
-            else:
-                # non-isolated and non-constant: image must be a pair
-                delta = next(iter(image - {e_h}))
-                ok = all(
-                    fv[x] == e_h if x in forced else fv[x] in (e_h, delta)
-                    for x in near
-                )
-        if ok:
-            out.append(i)
+    out = [i for i, values in isolated if all(fv[x] == values[x] for x in near)]
+    if all(fv[x] == e_h for x in near if x in forced):
+        free = {fv[x] for x in near if x not in forced}
+        if free <= allowed:
+            out += constant
+        for delta, members in pairs:
+            if free <= {e_h, delta}:
+                out += members
+    out.sort()
     return tuple(out)
+
+
+def _theorem_shapes(space: MapSpace) -> tuple:
+    """What :func:`differentials_by_theorem` reads of a D(C, D), as
+    ``(e, forced, allowed, isolated, constant, pairs)``:
+
+    * ``e``, the identity of the codomain;
+    * ``forced``, the squares subgroup of the domain group;
+    * ``allowed``, the identity and the order-2 generators of the codomain;
+    * ``isolated``, ``(i, values)`` for every isolated map;
+    * ``constant``, the indices of the non-isolated constant maps;
+    * ``pairs``, ``(d, indices)`` for the non-isolated maps with image
+      {e, d}, one entry per d.
+    """
+    dom, cod = space.cayley
+    e_h = cod.group.identity
+    isolated, constant, pairs = [], [], {}
+    for i, m in enumerate(space.maps):
+        if is_isolated(space, i):
+            isolated.append((i, m.values))
+            continue
+        image = m.image()
+        if image == frozenset((e_h,)):
+            constant.append(i)
+        else:
+            # non-isolated and non-constant: image must be a pair
+            pairs.setdefault(next(iter(image - {e_h})), []).append(i)
+    allowed = frozenset((e_h,)) | _order2_generators(cod)
+    return (
+        e_h,
+        squares_subgroup(dom.group),
+        allowed,
+        tuple(isolated),
+        tuple(constant),
+        tuple(pairs.items()),
+    )
 
 
 def differential_oracle(q: DifferentialQuery, *, literal: bool = False) -> tuple[int, ...]:
@@ -207,14 +244,68 @@ def t1_forces_value_check(q: DifferentialQuery) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ChainRuleReport:
+class ChainRuleReport(Record):
     holds: bool
     inner_differentials: tuple[int, ...]
     outer_differentials: tuple[int, ...]
     composite_differentials: tuple[int, ...]
     violations: tuple[tuple[int, int], ...]
     missing_composites: tuple[tuple[int, int], ...]
+    __match_args__ = (
+        "holds",
+        "inner_differentials",
+        "outer_differentials",
+        "composite_differentials",
+        "violations",
+        "missing_composites",
+    )
+
+    def __init__(
+        self,
+        holds: bool,
+        inner_differentials: tuple[int, ...],
+        outer_differentials: tuple[int, ...],
+        composite_differentials: tuple[int, ...],
+        violations: tuple[tuple[int, int], ...],
+        missing_composites: tuple[tuple[int, int], ...],
+    ):
+        set_field(self, "holds", holds)
+        set_field(self, "inner_differentials", inner_differentials)
+        set_field(self, "outer_differentials", outer_differentials)
+        set_field(self, "composite_differentials", composite_differentials)
+        set_field(self, "violations", violations)
+        set_field(self, "missing_composites", missing_composites)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.holds,
+                self.inner_differentials,
+                self.outer_differentials,
+                self.composite_differentials,
+                self.violations,
+                self.missing_composites,
+            ) == (
+                other.holds,
+                other.inner_differentials,
+                other.outer_differentials,
+                other.composite_differentials,
+                other.violations,
+                other.missing_composites,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (
+                self.holds,
+                self.inner_differentials,
+                self.outer_differentials,
+                self.composite_differentials,
+                self.violations,
+                self.missing_composites,
+            )
+        )
 
 
 def chain_rule_check(

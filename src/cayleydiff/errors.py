@@ -4,6 +4,8 @@ Every error raised on a bad input subclasses :class:`Error`, so callers
 (and the CLI) can distinguish user mistakes from genuine bugs.
 :class:`CrossCheckMismatch` is reserved for the latter: two independent
 computations of the same value disagreed.
+
+:class:`Record` is the base of the package's immutable value records.
 """
 
 from __future__ import annotations
@@ -109,3 +111,40 @@ class NotDifferentiable(Error):
 
 class CrossCheckMismatch(Error):
     """Two independent routes to the same value disagree: a soundness bug."""
+
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in ``__match_args__``, in order, stores
+    them in its own ``__init__`` through :data:`set_field`, and defines
+    ``__eq__`` (between instances of the same class only) and
+    ``__hash__`` over the fields it compares.  The base supplies the
+    repr, ``Name(field=value, ...)``, and refuses assignment and
+    deletion with ``FrozenInstanceError``, an :class:`AttributeError`.
+    That error is imported only when it is raised: its module loads
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, a large share of the
+    import time of a CLI call.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+# stores a field past Record.__setattr__; __init__ methods call it directly
+set_field = object.__setattr__
+
+
+def _frozen(message: str) -> AttributeError:
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)

@@ -10,10 +10,9 @@ matrix equations of the Boolean differential routines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimMismatch
+from .errors import DimMismatch, Record, set_field
 
 if TYPE_CHECKING:
     from .spaces import FiniteMap
@@ -51,23 +50,34 @@ def neighborhood_indices(idx: int, m: int) -> tuple[int, ...]:
     return tuple(sorted({idx} | {idx ^ (1 << k) for k in range(m)}))
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
+class GF2Matrix(Record):
     """Dense 0/1 matrix, row-major; acts on column bit vectors."""
 
     rows: int
     cols: int
     bits: tuple[tuple[int, ...], ...]
+    __match_args__ = ("rows", "cols", "bits")
 
-    def __post_init__(self):
-        if len(self.bits) != self.rows:
-            raise DimMismatch(f"{len(self.bits)} rows, declared {self.rows}")
-        for row in self.bits:
-            if len(row) != self.cols:
-                raise DimMismatch(f"row of length {len(row)}, declared {self.cols}")
+    def __init__(self, rows: int, cols: int, bits: tuple[tuple[int, ...], ...]):
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "bits", bits)
+        if len(bits) != rows:
+            raise DimMismatch(f"{len(bits)} rows, declared {rows}")
+        for row in bits:
+            if len(row) != cols:
+                raise DimMismatch(f"row of length {len(row)}, declared {cols}")
             for v in row:
                 if v not in (0, 1):
                     raise DimMismatch(f"entry {v!r} is not a bit")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.bits) == (other.rows, other.cols, other.bits)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.bits))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "GF2Matrix":

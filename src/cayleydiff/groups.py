@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +31,9 @@ from .errors import (
     NoInverse,
     NotAssociative,
     NotGenerating,
+    Record,
     Redundant,
+    set_field,
 )
 from .spaces import FiniteMap
 
@@ -55,18 +56,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Immutable multiplication table; identity at index 0.
 
     :func:`group_from_table` validates the axioms; the named constructors
-    and direct construction do not.
+    and direct construction do not.  ``names`` are display-only: equality
+    and hashing ignore them.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int = 0
-    names: tuple[str, ...] | None = field(default=None, compare=False)
+    identity: int
+    names: tuple[str, ...] | None
+    __match_args__ = ("order", "table", "identity", "names")
+
+    def __init__(
+        self,
+        order: int,
+        table: tuple[tuple[int, ...], ...],
+        identity: int = 0,
+        names: tuple[str, ...] | None = None,
+    ):
+        set_field(self, "order", order)
+        set_field(self, "table", table)
+        set_field(self, "identity", identity)
+        set_field(self, "names", names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.table, self.identity) == (
+                other.order, other.table, other.identity
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.table, self.identity))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -75,11 +99,22 @@ class FiniteGroup:
         return self.names[g] if self.names else str(g)
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(Record):
     """Validated non-redundant generating set, stored sorted."""
 
     elements: tuple[int, ...]
+    __match_args__ = ("elements",)
+
+    def __init__(self, elements: tuple[int, ...]):
+        set_field(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elements,))
 
 
 def group_from_table(

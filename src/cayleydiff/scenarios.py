@@ -9,14 +9,12 @@ CLI maps it to exit code 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 from .boolean import (
     BoolFunction,
     GF2Matrix,
     boolean_differentials_at,
-    hypercube,
     is_differentiable_at,
     linear_map_space,
     matrix_anf,
@@ -28,6 +26,7 @@ from .cayley import (
     cayley_graph,
     diff_space,
     group_multiplication_map,
+    hypercube,
     left_mult_automorphism_check,
 )
 from .differential import (
@@ -36,7 +35,7 @@ from .differential import (
     differentials_at,
     integers_differentiable_at,
 )
-from .errors import CrossCheckMismatch
+from .errors import CrossCheckMismatch, Record, set_field
 from .groups import (
     GeneratingSet,
     closure,
@@ -69,11 +68,24 @@ def expect(ok: bool, detail: object) -> None:
         raise CrossCheckMismatch(str(detail))
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     name: str
     ok: bool
     detail: str
+    __match_args__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.ok, self.detail))
 
 
 def _pentacle_neighborhoods() -> str:

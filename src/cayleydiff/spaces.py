@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import guards
-from .errors import DimMismatch, MalformedTable, NotContinuous
+from .errors import DimMismatch, MalformedTable, NotContinuous, Record, set_field
 
 if TYPE_CHECKING:
     from .cayley import CayleyGraph
@@ -54,22 +53,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(Record):
     """Total function between finite carriers, stored as a value tuple."""
 
     dom_size: int
     cod_size: int
     values: tuple[int, ...]
+    __match_args__ = ("dom_size", "cod_size", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.dom_size:
-            raise DimMismatch(
-                f"map has {len(self.values)} values for domain size {self.dom_size}"
+    def __init__(self, dom_size: int, cod_size: int, values: tuple[int, ...]):
+        set_field(self, "dom_size", dom_size)
+        set_field(self, "cod_size", cod_size)
+        set_field(self, "values", values)
+        if len(values) != dom_size:
+            raise DimMismatch(f"map has {len(values)} values for domain size {dom_size}")
+        for v in values:
+            if not 0 <= v < cod_size:
+                raise DimMismatch(f"value {v} outside codomain 0..{cod_size - 1}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom_size, self.cod_size, self.values) == (
+                other.dom_size, other.cod_size, other.values
             )
-        for v in self.values:
-            if not 0 <= v < self.cod_size:
-                raise DimMismatch(f"value {v} outside codomain 0..{self.cod_size - 1}")
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dom_size, self.cod_size, self.values))
 
     @classmethod
     def _trusted(
@@ -117,20 +127,29 @@ class FiniteMap:
         return cls(dom_size, cod_size, (value,) * dom_size)
 
 
-@dataclass(frozen=True)
-class ReflexiveDigraph:
+class ReflexiveDigraph(Record):
     """Vertices ``0..size-1`` with reflexive out-neighborhood sets."""
 
     nbhd: tuple[frozenset[int], ...]
+    __match_args__ = ("nbhd",)
 
-    def __post_init__(self):
-        n = len(self.nbhd)
-        for v, nv in enumerate(self.nbhd):
+    def __init__(self, nbhd: tuple[frozenset[int], ...]):
+        set_field(self, "nbhd", nbhd)
+        n = len(nbhd)
+        for v, nv in enumerate(nbhd):
             if v not in nv:
                 raise MalformedTable(f"digraph not reflexive at vertex {v}")
             for u in nv:
                 if not 0 <= u < n:
                     raise MalformedTable(f"neighbor {u} of {v} outside 0..{n - 1}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nbhd == other.nbhd
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nbhd,))
 
     @property
     def size(self) -> int:
@@ -141,15 +160,24 @@ class ReflexiveDigraph:
         return cls(tuple(frozenset(nv) for nv in neighborhoods))
 
 
-@dataclass(frozen=True)
-class PrincipalFilter:
+class PrincipalFilter(Record):
     """A filter on a finite carrier, identified with its minimal set."""
 
     minset: frozenset[int]
+    __match_args__ = ("minset",)
 
-    def __post_init__(self):
-        if not self.minset:
+    def __init__(self, minset: frozenset[int]):
+        set_field(self, "minset", minset)
+        if not minset:
             raise MalformedTable("principal filter needs a nonempty minimal set")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.minset == other.minset
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.minset,))
 
     @classmethod
     def point(cls, v: int) -> "PrincipalFilter":
@@ -228,8 +256,7 @@ def _hom_neighbor_criterion(
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class MapSpace:
+class MapSpace(Record):
     """A chosen space of continuous maps with its convergence structure.
 
     ``nbhd[i]`` holds the indices of the maps converging to ``maps[i]``
@@ -239,34 +266,78 @@ class MapSpace:
     and ``codomain``.
 
     The bitmasks over map indices that
-    :func:`cayleydiff.differential.differentials_at` reads are derived
-    from the fields on first use and kept on the instance; they are not
-    fields, so equality, hashing and repr ignore them.
+    :func:`cayleydiff.differential.differentials_at` reads, and the map
+    shapes that :func:`cayleydiff.differential.differentials_by_theorem`
+    reads, are derived from the fields on first use and kept on the
+    instance; they are not fields, so equality, hashing and repr ignore
+    them.
     """
 
     domain: ReflexiveDigraph
     codomain: ReflexiveDigraph
     maps: tuple[FiniteMap, ...]
     nbhd: tuple[frozenset[int], ...]
-    cayley: "tuple[CayleyGraph, CayleyGraph] | None" = None
+    cayley: tuple[CayleyGraph, CayleyGraph] | None
+    __match_args__ = ("domain", "codomain", "maps", "nbhd", "cayley")
+
+    def __init__(
+        self,
+        domain: ReflexiveDigraph,
+        codomain: ReflexiveDigraph,
+        maps: tuple[FiniteMap, ...],
+        nbhd: tuple[frozenset[int], ...],
+        cayley: tuple[CayleyGraph, CayleyGraph] | None = None,
+    ):
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
+        set_field(self, "maps", maps)
+        set_field(self, "nbhd", nbhd)
+        set_field(self, "cayley", cayley)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.domain, self.codomain, self.maps, self.nbhd, self.cayley) == (
+                other.domain, other.codomain, other.maps, other.nbhd, other.cayley
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.maps, self.nbhd, self.cayley))
 
     @cached_property
     def _nbhd_masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """The isolated maps (``nbhd[i] == {i}``) as one bitmask, and
         ``(i, bitmask of nbhd[i])`` for every other map."""
-        isolated = 0
-        others = []
-        for i, nb in enumerate(self.nbhd):
-            if nb == frozenset((i,)):
-                isolated |= 1 << i
-            else:
-                others.append((i, sum(1 << j for j in nb)))
-        return isolated, tuple(others)
+        nbhd = self.nbhd
+        # one byte per map, 1 when it is isolated; read last map first as
+        # a binary number, as in _match_mask
+        single = bytes(map(operator.eq, nbhd, [frozenset((i,)) for i in range(len(nbhd))]))
+        isolated = int(b"0" + single[::-1].translate(_BIT_CHARS), 2)
+        others = tuple(
+            (i, sum(1 << j for j in nb))
+            for i, (nb, alone) in enumerate(zip(nbhd, single))
+            if not alone
+        )
+        return isolated, others
 
     @cached_property
     def _match_masks(self) -> dict[tuple[int, int], int]:
         """Filled by :meth:`_match_mask`, one (point, value) at a time."""
         return {}
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Filled by :meth:`_derive`, one key at a time."""
+        return {}
+
+    def _derive(self, key: str, build: Callable[[MapSpace], object]):
+        """``build(self)``, computed on the first call for ``key`` and
+        kept for the later ones."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     @cached_property
     def _values_last_first(self) -> tuple[tuple[int, ...], ...]:
@@ -308,11 +379,12 @@ class MapSpace:
         for i, f in enumerate(maps):
             if not is_continuous(domain, codomain, f):
                 raise NotContinuous(f"map {i} with values {f.values}")
+        # every map is continuous now, so the pair loop skips that check
         nbhd = tuple(
             frozenset(
                 j
                 for j in range(len(maps))
-                if hom_neighbor(domain, codomain, maps[j], maps[i])
+                if _hom_neighbor_criterion(domain, codomain, maps[j], maps[i])
             )
             for i in range(len(maps))
         )
@@ -385,12 +457,28 @@ def diagonal_map(size: int) -> FiniteMap:
     return FiniteMap(size, size * size, tuple(pair_index(a, a, size) for a in range(size)))
 
 
-@dataclass(frozen=True)
-class SpaceProperties:
+class SpaceProperties(Record):
     is_T0: bool
     is_T1: bool
     is_discrete: bool
     is_topological: bool
+    __match_args__ = ("is_T0", "is_T1", "is_discrete", "is_topological")
+
+    def __init__(self, is_T0: bool, is_T1: bool, is_discrete: bool, is_topological: bool):
+        set_field(self, "is_T0", is_T0)
+        set_field(self, "is_T1", is_T1)
+        set_field(self, "is_discrete", is_discrete)
+        set_field(self, "is_topological", is_topological)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.is_T0, self.is_T1, self.is_discrete, self.is_topological) == (
+                other.is_T0, other.is_T1, other.is_discrete, other.is_topological
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.is_T0, self.is_T1, self.is_discrete, self.is_topological))
 
 
 def space_properties(space: ReflexiveDigraph) -> SpaceProperties:

@@ -14,7 +14,6 @@ from cayleydiff.boolean import (
     GF2Matrix,
     boolean_differentials_at,
     continuous_linear_maps,
-    hypercube,
     is_continuous_linear,
     linear_map_space,
     scalar_differentiability_census,
@@ -25,6 +24,7 @@ from cayleydiff.cayley import (
     cayley_graph,
     diff_space,
     group_multiplication_map,
+    hypercube,
 )
 from cayleydiff.differential import (
     DifferentialQuery,

@@ -12,7 +12,6 @@ from cayleydiff.boolean import (
     _differentials_by_matrix_sweep,
     boolean_differentials_at,
     continuous_linear_maps,
-    hypercube,
     index_point,
     is_continuous_linear,
     is_differentiable_at,
@@ -26,6 +25,7 @@ from cayleydiff.boolean import (
     scalar_differentiability_census,
     solve_matrix_equation,
 )
+from cayleydiff.cayley import hypercube
 from cayleydiff.errors import (
     CrossCheckMismatch,
     DimMismatch,

@@ -653,26 +653,33 @@ def test_benchmark_cli_calls_match_frozen_digests(capsys):
 # ---------------------------------------------------------- import footprint
 
 # the cayleydiff modules each benchmark call loads, besides cli, errors
-# and guards; only examples loads the scenarios, and the Boolean calls
-# load no group code
+# and guards; only examples loads the scenarios, the Boolean calls load
+# no group code, and no call loads a HEAVY_STDLIB module
 GROUP_CODE = {"groups", "spaces"}
 BOOLEAN_CODE = {"anf", "boolean", "gf2"}
 CALL_FOOTPRINTS = {
     "examples": GROUP_CODE | BOOLEAN_CODE | {"cayley", "differential", "scenarios"},
     "group": GROUP_CODE,
     "cayley": GROUP_CODE | {"cayley"},
-    "space": GROUP_CODE | BOOLEAN_CODE | {"cayley"},
+    "space": GROUP_CODE | {"cayley"},
     "diffspace": GROUP_CODE | {"anf", "gf2", "cayley"},
     "diff": GROUP_CODE | BOOLEAN_CODE | {"cayley", "differential"},
     "bool": BOOLEAN_CODE,
 }
 
 
+# standard modules that no call loads: dataclasses imports the other
+# four, and all five would only add import time
+HEAVY_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def loaded_modules(code: str) -> set[str]:
-    """The cayleydiff submodules a fresh interpreter holds after ``code``."""
-    script = code + textwrap.dedent("""
+    """The cayleydiff submodules a fresh interpreter holds after ``code``,
+    plus the names of any ``HEAVY_STDLIB`` modules it holds."""
+    script = code + textwrap.dedent(f"""
         import sys
-        print(" ".join(m for m in sys.modules if m.startswith("cayleydiff.")))
+        print(" ".join(m for m in sys.modules
+                       if m.startswith("cayleydiff.") or m in {sorted(HEAVY_STDLIB)!r}))
     """)
     src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -682,7 +689,7 @@ def loaded_modules(code: str) -> set[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {m[len("cayleydiff."):] for m in proc.stdout.split()}
+    return {m.removeprefix("cayleydiff.") for m in proc.stdout.split()}
 
 
 def test_importing_the_cli_loads_only_errors_and_guards():

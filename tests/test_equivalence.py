@@ -283,7 +283,8 @@ def _check_every_point(space, f):
 @given(st.sampled_from(DIFF_PAIRS), st.randoms(use_true_random=False))
 def test_differentials_at_matches_oracle_and_theorem(pair, rng):
     space = diff_space(graph(pair[0]), graph(pair[1]))
-    # the space keeps the masks it derives, so several functions share them
+    # the space keeps the masks and map shapes it derives, so several
+    # functions share them
     for _ in range(3):
         _check_every_point(space, _random_function(space, rng))
 

@@ -33,6 +33,7 @@ from cayleydiff.spaces import (
     hom_neighbor,
     is_continuous,
     is_continuous_at,
+    is_isolated,
     map_from_json,
     map_to_json,
     pair_index,
@@ -233,6 +234,38 @@ def test_pair_loop_criterion_matches_hom_neighbor(dom, cod, data):
             hom_neighbor(dom, cod, h, maps[0])
         with pytest.raises(NotContinuous, match="second map"):
             hom_neighbor(dom, cod, maps[0], h)
+
+
+def _nbhd_by_hom_neighbor(dom, cod, maps):
+    return tuple(
+        frozenset(j for j, f in enumerate(maps) if hom_neighbor(dom, cod, f, g))
+        for g in maps
+    )
+
+
+def test_map_space_nbhd_matches_hom_neighbor_on_the_pentacle():
+    # from_continuous_maps checks continuity once, then runs the bare
+    # criterion over all pairs
+    space = pentacle()
+    maps = continuous_maps(space, space)
+    built = MapSpace.from_continuous_maps(space, space, maps)
+    assert len(maps) == 185
+    assert built.nbhd == _nbhd_by_hom_neighbor(space, space, maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(3), digraphs(3))
+def test_map_space_nbhd_matches_hom_neighbor(dom, cod):
+    maps = continuous_maps(dom, cod)
+    built = MapSpace.from_continuous_maps(dom, cod, maps)
+    assert built.nbhd == _nbhd_by_hom_neighbor(dom, cod, maps)
+    # the masks differentials_at reads
+    alone = [is_isolated(built, i) for i in range(len(maps))]
+    isolated, others = built._nbhd_masks
+    assert isolated == sum(1 << i for i in range(len(maps)) if alone[i])
+    assert others == tuple(
+        (i, sum(1 << j for j in nb)) for i, nb in enumerate(built.nbhd) if not alone[i]
+    )
 
 
 def test_continuous_maps_counts():
