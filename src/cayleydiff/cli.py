@@ -6,14 +6,14 @@ differently from bad invocations.  Output is deterministic: identical
 invocations produce byte-identical stdout.
 
 Each call imports only what its subcommand runs: at module level this
-file loads just the error types and the size guards, and every handler
-imports its own library code.
+file loads just the error types and the size guards, the parser holds
+only the subcommand that argv names, every handler imports its own
+library code, and ``json`` is loaded only to read or write JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import guards
@@ -44,7 +44,50 @@ def _print(text: str) -> None:
 
 
 def _print_json(data) -> None:
-    _print(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    """Write ``json.dumps(data, sort_keys=True, indent=2)`` and a newline.
+
+    One pass over dicts with str keys, lists, tuples, str, int, bool and
+    None; any other type raises TypeError.  The stdlib encoder runs in
+    pure Python whenever ``indent`` is set, one generator step per token,
+    and rows of plain ints, the bulk of every payload, are joined here
+    in one call each.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    def render(obj, nl: str) -> str:
+        # nl is a newline plus the indent of the line obj starts on
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        inner = nl + "  "
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            types = set(map(type, obj))  # bool is not int here
+            if types == {int}:
+                items = map(int.__repr__, obj)
+            elif types == {str}:
+                items = map(quote, obj)
+            else:
+                items = [render(x, inner) for x in obj]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            # quote raises TypeError on a key that is not a str
+            items = [quote(k) + ": " + render(obj[k], inner) for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    _print(render(data, "\n"))
+    _print("\n")
 
 
 # ---------------------------------------------------------------- inputs
@@ -55,6 +98,8 @@ def _load_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...] | None]:
     from .groups import group_from_json, group_from_spec
 
     if spec.startswith("file:"):
+        import json
+
         with open(spec[len("file:") :], "r", encoding="utf-8") as fh:
             return group_from_json(json.load(fh)), None
     return group_from_spec(spec)
@@ -174,6 +219,8 @@ def _load_function(
     if fn is None:
         raise ValueError("diff needs a function source: --fn or --f")
     if fn.startswith("file:"):
+        import json
+
         with open(fn[len("file:") :], "r", encoding="utf-8") as fh:
             f = map_from_json(json.load(fh))
         if f.dom_size != dom.order or f.cod_size != cod.order:
@@ -183,16 +230,17 @@ def _load_function(
             )
         return f
     if fn.startswith("poly:"):
-        from .boolean import BoolFunction
+        from .anf import tabulate
+        from .gf2 import point_index
 
         # the order-1 group is the 0-cube here, which _z2_dim leaves out
         m, n = (0 if g.order == 1 else d for g, d in zip((dom, cod), dims))
         if m is None or n is None:
             raise ValueError("polynomial sources need z2^m domain and codomain")
-        f = BoolFunction.from_source(fn[len("poly:") :], m=m)
-        if f.n != n:
-            raise ValueError(f"polynomial has {f.n} components, codomain needs {n}")
-        return f.as_finite_map()
+        _, table = tabulate(fn[len("poly:") :], m)
+        if len(table[0]) != n:
+            raise ValueError(f"polynomial has {len(table[0])} components, codomain needs {n}")
+        return FiniteMap(2**m, 2**n, tuple(map(point_index, table)))
     if fn.startswith("builtin:"):
         name = fn[len("builtin:") :]
         if name == "identity":
@@ -223,7 +271,7 @@ def emit_dot(digraph: ReflexiveDigraph, names: Sequence[str] | None = None) -> s
     lines = ["digraph G {"]
     for v in range(digraph.size):
         label = str(names[v]) if names is not None else str(v)
-        label = label.replace('"', '\\"')
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for u in range(digraph.size):
         for v in sorted(digraph.nbhd[u]):
@@ -309,6 +357,8 @@ def _cmd_space(ns) -> int:
             for v in range(digraph.size)
         ]
     else:
+        import json
+
         with open(ns.file, "r", encoding="utf-8") as fh:
             digraph = digraph_from_json(json.load(fh))
     if ns.format == "dot":
@@ -470,7 +520,18 @@ def _cmd_examples(ns) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _build_parser() -> _Parser:
+_COMMANDS = ("group", "cayley", "space", "diffspace", "diff", "bool", "examples")
+
+
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser for ``argv``.
+
+    When argv[0] names a subcommand, only that subcommand's parser is
+    added: building all of them costs a call more than parsing does.
+    An empty argv, top-level help or an unknown command gets them all,
+    so help and the invalid-choice error list every subcommand.
+    """
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _Parser(
         prog="cayleydiff",
         description="Differential calculus on finite convergence spaces.",
@@ -481,75 +542,84 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", help="build and inspect a finite group")
-    p.add_argument("--group", required=True, help="cyclic:N, s:N, z2^N or file:path.json")
-    p.add_argument("--gens", help="comma list of elements to validate as generators")
-    p.add_argument("--homs-to", help="enumerate homomorphisms into this group")
-    p.set_defaults(handler=_cmd_group)
+    if only in (None, "group"):
+        p = sub.add_parser("group", help="build and inspect a finite group")
+        p.add_argument("--group", required=True, help="cyclic:N, s:N, z2^N or file:path.json")
+        p.add_argument("--gens", help="comma list of elements to validate as generators")
+        p.add_argument("--homs-to", help="enumerate homomorphisms into this group")
+        p.set_defaults(handler=_cmd_group)
 
-    p = sub.add_parser("cayley", help="Cayley graph of a group with generators")
-    p.add_argument("--group", required=True)
-    p.add_argument("--gens", help="generators (builtin groups have a canonical default)")
-    p.add_argument("--check", action="store_true", help="self-test left multiplication")
-    p.add_argument("format", nargs="?", choices=("dot", "json"), default="json")
-    p.set_defaults(handler=_cmd_cayley)
+    if only in (None, "cayley"):
+        p = sub.add_parser("cayley", help="Cayley graph of a group with generators")
+        p.add_argument("--group", required=True)
+        p.add_argument("--gens", help="generators (builtin groups have a canonical default)")
+        p.add_argument("--check", action="store_true", help="self-test left multiplication")
+        p.add_argument("format", nargs="?", choices=("dot", "json"), default="json")
+        p.set_defaults(handler=_cmd_cayley)
 
-    p = sub.add_parser("space", help="inspect a reflexive digraph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--pentacle", action="store_true")
-    src.add_argument("--hypercube", type=int, metavar="M")
-    src.add_argument("--file", help="digraph JSON path")
-    p.add_argument("--props", action="store_true", help="print separation properties")
-    p.add_argument("format", nargs="?", choices=("dot", "json"), default=None)
-    p.set_defaults(handler=_cmd_space)
+    if only in (None, "space"):
+        p = sub.add_parser("space", help="inspect a reflexive digraph")
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--pentacle", action="store_true")
+        src.add_argument("--hypercube", type=int, metavar="M")
+        src.add_argument("--file", help="digraph JSON path")
+        p.add_argument("--props", action="store_true", help="print separation properties")
+        p.add_argument("format", nargs="?", choices=("dot", "json"), default=None)
+        p.set_defaults(handler=_cmd_space)
 
-    p = sub.add_parser("diffspace", help="space of continuous homomorphisms")
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.add_argument("--dom-gens")
-    p.add_argument("--cod-gens")
-    p.add_argument("--oracle", action="store_true", help="cross-check against definitions")
-    p.set_defaults(handler=_cmd_diffspace)
+    if only in (None, "diffspace"):
+        p = sub.add_parser("diffspace", help="space of continuous homomorphisms")
+        p.add_argument("--dom", required=True)
+        p.add_argument("--cod", required=True)
+        p.add_argument("--dom-gens")
+        p.add_argument("--cod-gens")
+        p.add_argument("--oracle", action="store_true", help="cross-check against definitions")
+        p.set_defaults(handler=_cmd_diffspace)
 
-    p = sub.add_parser("diff", help="differentials of a function between Cayley graphs")
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.add_argument("--dom-gens")
-    p.add_argument("--cod-gens")
-    fn = p.add_mutually_exclusive_group(required=True)
-    fn.add_argument("--fn", help="file:path.json, poly:EXPR or builtin:NAME")
-    fn.add_argument("--f", help="shorthand for poly:EXPR")
-    p.add_argument("--at", required=True, help="point: index, name, bits or (b1,...,bm)")
-    p.add_argument("--oracle", action="store_true", help="cross-check all routes")
-    p.set_defaults(handler=_cmd_diff)
+    if only in (None, "diff"):
+        p = sub.add_parser("diff", help="differentials of a function between Cayley graphs")
+        p.add_argument("--dom", required=True)
+        p.add_argument("--cod", required=True)
+        p.add_argument("--dom-gens")
+        p.add_argument("--cod-gens")
+        fn = p.add_mutually_exclusive_group(required=True)
+        fn.add_argument("--fn", help="file:path.json, poly:EXPR or builtin:NAME")
+        fn.add_argument("--f", help="shorthand for poly:EXPR")
+        p.add_argument("--at", required=True, help="point: index, name, bits or (b1,...,bm)")
+        p.add_argument("--oracle", action="store_true", help="cross-check all routes")
+        p.set_defaults(handler=_cmd_diff)
 
-    p = sub.add_parser("bool", help="Boolean calculus on hypercubes")
-    bsub = p.add_subparsers(dest="bool_command", required=True)
-    b = bsub.add_parser("diff", help="differentials of a polynomial map")
-    b.add_argument("--m", type=int, required=True, help="domain dimension")
-    b.add_argument("--n", type=int, help="codomain dimension (checked if given)")
-    b.add_argument("--f", required=True, help="polynomial source, e.g. (p, pq, q)")
-    b.add_argument("--at", required=True)
-    b.add_argument("--oracle", action="store_true")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bool_diff)
-    b = bsub.add_parser("census", help="differentiability pattern of a scalar map")
-    b.add_argument("--m", type=int, required=True)
-    b.add_argument("--f", required=True)
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bool_census)
+    if only in (None, "bool"):
+        p = sub.add_parser("bool", help="Boolean calculus on hypercubes")
+        bsub = p.add_subparsers(dest="bool_command", required=True)
+        b = bsub.add_parser("diff", help="differentials of a polynomial map")
+        b.add_argument("--m", type=int, required=True, help="domain dimension")
+        b.add_argument("--n", type=int, help="codomain dimension (checked if given)")
+        b.add_argument("--f", required=True, help="polynomial source, e.g. (p, pq, q)")
+        b.add_argument("--at", required=True)
+        b.add_argument("--oracle", action="store_true")
+        b.add_argument("--json", action="store_true")
+        b.set_defaults(handler=_cmd_bool_diff)
+        b = bsub.add_parser("census", help="differentiability pattern of a scalar map")
+        b.add_argument("--m", type=int, required=True)
+        b.add_argument("--f", required=True)
+        b.add_argument("--json", action="store_true")
+        b.set_defaults(handler=_cmd_bool_census)
 
-    p = sub.add_parser("examples", help="run a canned scenario suite")
-    # no choices list: that would import the scenarios; run_suite
-    # rejects an unknown name with exit 1
-    p.add_argument("--suite", default="paper", help="scenario suite (paper)")
-    p.set_defaults(handler=_cmd_examples)
+    if only in (None, "examples"):
+        p = sub.add_parser("examples", help="run a canned scenario suite")
+        # no choices list: that would import the scenarios; run_suite
+        # rejects an unknown name with exit 1
+        p.add_argument("--suite", default="paper", help="scenario suite (paper)")
+        p.set_defaults(handler=_cmd_examples)
 
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:
@@ -566,7 +636,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except Error as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -1,12 +1,19 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayleydiff
 from cayleydiff import cli
@@ -153,6 +160,30 @@ def test_single_point_dot_has_no_edges(capsys):
     dot = run_ok(capsys, ["cayley", "--group", "cyclic:1", "dot"])
     assert _count_edges(dot) == (0, 0)
     assert dot.count("label") == 1
+
+
+def _dot_labels(dot: str) -> list[str]:
+    """The node labels of ``dot``, unescaped; a quote inside a label must
+    be escaped, or the label ends there."""
+    bodies = re.findall(r'\[label="((?:[^"\\]|\\.)*)"\];$', dot, flags=re.M)
+    return [re.sub(r"\\(.)", r"\1", body) for body in bodies]
+
+
+def test_dot_labels_escape_backslashes_and_quotes(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(
+        json.dumps({"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a\\"]})
+    )
+    dot = run_ok(capsys, ["cayley", "--group", f"file:{path}", "--gens", "a\\", "dot"])
+    assert '  1 [label="a\\\\"];' in dot
+    assert _dot_labels(dot) == ["e", "a\\"]
+
+    from cayleydiff.spaces import discrete_digraph
+
+    names = ['\\"', '"\\', 'x\\\\"y"', "\\n"]
+    dot = cli.emit_dot(discrete_digraph(4), names)
+    assert '  0 [label="\\\\\\""];' in dot
+    assert _dot_labels(dot) == names
 
 
 def test_cayley_json_and_check(capsys):
@@ -379,6 +410,13 @@ def test_bad_json_is_malformed(capsys, tmp_path, command, payload):
     }[command]
     err = run_err(capsys, argv, 1)
     assert err.startswith("error: MalformedTable:")
+
+
+def test_unparsable_json_file_is_a_user_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"order": 2, "table": [[0, 1], [1, 0]')
+    err = run_err(capsys, ["group", "--group", f"file:{path}"], 1)
+    assert err.startswith("error: JSONDecodeError: ")
 
 
 def test_diff_rejects_tuple_point_outside_cubes(capsys):
@@ -654,7 +692,8 @@ def test_benchmark_cli_calls_match_frozen_digests(capsys):
 
 # the cayleydiff modules each benchmark call loads, besides cli, errors
 # and guards; only examples loads the scenarios, the Boolean calls load
-# no group code, and no call loads a HEAVY_STDLIB module
+# no group code, diff reads its polynomial without boolean, and no call
+# loads a HEAVY_STDLIB module
 GROUP_CODE = {"groups", "spaces"}
 BOOLEAN_CODE = {"anf", "boolean", "gf2"}
 CALL_FOOTPRINTS = {
@@ -663,7 +702,7 @@ CALL_FOOTPRINTS = {
     "cayley": GROUP_CODE | {"cayley"},
     "space": GROUP_CODE | {"cayley"},
     "diffspace": GROUP_CODE | {"anf", "gf2", "cayley"},
-    "diff": GROUP_CODE | BOOLEAN_CODE | {"cayley", "differential"},
+    "diff": GROUP_CODE | {"anf", "gf2", "cayley", "differential"},
     "bool": BOOLEAN_CODE,
 }
 
@@ -672,14 +711,18 @@ CALL_FOOTPRINTS = {
 # four, and all five would only add import time
 HEAVY_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
+# the benchmark calls that print JSON; the others print text and never
+# load json
+JSON_OUTPUT = {"group", "diffspace", "diff"}
+
 
 def loaded_modules(code: str) -> set[str]:
     """The cayleydiff submodules a fresh interpreter holds after ``code``,
-    plus the names of any ``HEAVY_STDLIB`` modules it holds."""
+    plus ``json`` and any ``HEAVY_STDLIB`` modules if it holds them."""
     script = code + textwrap.dedent(f"""
         import sys
         print(" ".join(m for m in sys.modules
-                       if m.startswith("cayleydiff.") or m in {sorted(HEAVY_STDLIB)!r}))
+                       if m.startswith("cayleydiff.") or m in {sorted(HEAVY_STDLIB | {"json"})!r}))
     """)
     src = os.path.dirname(os.path.dirname(cayleydiff.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -708,6 +751,8 @@ def test_each_call_loads_only_what_its_subcommand_runs(argv):
             raise SystemExit(code)
     """)
     want = CALL_FOOTPRINTS[argv[0]] | {"cli", "errors", "guards"}
+    if argv[0] in JSON_OUTPUT:
+        want.add("json")
     assert loaded_modules(code) == want
 
 
@@ -752,3 +797,133 @@ def test_lazy_package_serves_every_public_name():
 )
 def test_repeated_runs_are_byte_identical(capsys, argv):
     assert run_ok(capsys, argv) == run_ok(capsys, argv)
+
+
+# ------------------------------------------------------------ JSON writer
+
+_TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"])
+_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()), max_size=8)
+_INTS = st.one_of(st.integers(-5, 5), st.integers(), st.sampled_from([-(2**70), 2**64]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _TEXT)
+_JSON_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+        st.lists(_INTS, max_size=6),
+        st.lists(st.one_of(_INTS, st.booleans()), max_size=6),
+        st.lists(_TEXT, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _written(data) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._print_json(data)
+    return out.getvalue()
+
+
+@given(_JSON_TREES)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(data):
+    assert _written(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "data", [1.5, {1, 2}, b"x", [1, 2.5], {"a": [True, None, {0.5}]}, {1: 2}, {"a": 1, 2: 3}]
+)
+def test_json_writer_rejects_other_types(data):
+    with pytest.raises(TypeError):
+        _written(data)
+
+
+# ------------------------------------------------------- CLI grammar fuzz
+
+_FUZZ_HEADS = [
+    *([name] for name in cli._COMMANDS), ["bool", "diff"], ["bool", "census"],
+    [], ["-h"], ["--help"], ["bogus"], [""], ["Diff"], ["--x"], ["bool", "nope"],
+]
+_FUZZ_WORDS = [
+    *([flag] for flag in (
+        "--group", "--gens", "--homs-to", "--check", "dot", "json", "--pentacle",
+        "--hypercube", "--file", "--props", "--dom", "--cod", "--dom-gens", "--cod-gens",
+        "--fn", "--f", "--at", "--oracle", "--m", "--n", "--json", "--suite", "-h",
+    )),
+    *([token] for token in (
+        "cyclic:1", "s:3", "q:7", "0", "1", "-1", "01", "(1,0)", "r,t", "p", "pq+1",
+        "builtin:identity", "poly:p", "paper", "file:missing.json", "missing.json",
+        "--", "=", "--group=s:3", "--m=2", "junk",
+    )),
+    # flag and value pairs, so that some calls get as far as their handler
+    ["--group", "s:3"], ["--group", "cyclic:3"], ["--gens", "1"], ["--homs-to", "cyclic:3"],
+    ["--hypercube", "2"], ["--dom", "z2^2"], ["--cod", "z2^1"], ["--dom", "s:3"],
+    ["--cod", "s:3"], ["--fn", "builtin:zero"], ["--f", "p"], ["--f", "(p, q)"],
+    ["--at", "01"], ["--at", "0"], ["--m", "2"], ["--n", "1"],
+]
+
+
+# one small valid call per subcommand; the fuzz edits copies of them
+_FUZZ_CALLS = [
+    ["group", "--group", "s:3", "--homs-to", "cyclic:3"],
+    ["cayley", "--group", "cyclic:3", "dot"],
+    ["space", "--hypercube", "2", "--props"],
+    ["diffspace", "--dom", "z2^2", "--cod", "z2^1"],
+    ["diff", "--dom", "z2^2", "--cod", "z2^1", "--f", "p", "--at", "01"],
+    ["bool", "diff", "--m", "2", "--f", "(p, q)", "--at", "01"],
+    ["bool", "census", "--m", "2", "--f", "pq+1"],
+    ["examples", "--suite", "paper"],
+]
+
+
+def _fuzz_argvs(count: int, seed: int = 2015) -> list[list[str]]:
+    """``-h`` on every subcommand, then seeded argvs: half are valid calls
+    with up to two tokens dropped or words inserted, half are a head
+    followed by random words."""
+    rng = random.Random(seed)
+    argvs = [[name, "-h"] for name in cli._COMMANDS]
+    argvs += [["bool", "diff", "-h"], ["bool", "census", "--help"]]
+    while len(argvs) < count:
+        if rng.random() < 0.5:
+            argv = list(rng.choice(_FUZZ_CALLS))
+            for _ in range(rng.randrange(3)):
+                at = rng.randrange(len(argv) + 1)
+                if rng.random() < 0.5 and at < len(argv):
+                    del argv[at]
+                else:
+                    argv[at:at] = rng.choice(_FUZZ_WORDS)
+        else:
+            argv = list(rng.choice(_FUZZ_HEADS))
+            for _ in range(rng.randrange(7)):
+                argv += rng.choice(_FUZZ_WORDS)
+        argvs.append(argv)
+    return argvs
+
+
+def _outcome(capsys, argv) -> tuple[int, str, str]:
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_commands_are_the_full_parsers_subcommands():
+    actions = cli._build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == cli._COMMANDS
+
+
+def test_cli_grammar_fuzz(capsys, monkeypatch, tmp_path):
+    # the single-subcommand parser answers every argv exactly as the
+    # full one does: same exit code, same stdout, same stderr
+    monkeypatch.chdir(tmp_path)
+    build = cli._build_parser
+    codes = []
+    for argv in _fuzz_argvs(300):
+        got = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda argv=(): build())
+            assert _outcome(capsys, argv) == got, argv
+        codes.append(got[0])
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(0) >= 20 and codes.count(1) >= 100
