@@ -36,7 +36,6 @@ _EXPORTS = {
     "differential_oracle": "differential",
     "differentials_at": "differential",
     "differentials_by_theorem": "differential",
-    "integers_differentiable_at": "differential",
     "t1_forces_value_check": "differential",
     "FiniteGroup": "groups",
     "GeneratingSet": "groups",

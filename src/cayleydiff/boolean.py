@@ -37,7 +37,6 @@ from .errors import (
     NotContinuous,
     NotDifferentiable,
     Record,
-    set_field,
 )
 from .gf2 import BoolPoint, GF2Matrix, index_point, neighborhood_indices, point_index
 
@@ -74,26 +73,15 @@ class BoolFunction(Record):
     m: int
     n: int
     table: tuple[BoolPoint, ...]
-    __match_args__ = ("m", "n", "table")
 
-    def __init__(self, m: int, n: int, table: tuple[BoolPoint, ...]):
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "table", table)
+    def _validate(self) -> None:
+        m, n, table = self.m, self.n, self.table
         guards.check("bool_table_dim", m, "boolean function table")
         if len(table) != 2**m:
             raise DimMismatch(f"table of {len(table)} entries for a {m}-cube")
         for out in table:
             if len(out) != n or any(b not in (0, 1) for b in out):
                 raise DimMismatch(f"output {out!r} is not a {n}-bit point")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n, self.table) == (other.m, other.n, other.table)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.table))
 
     @classmethod
     def from_source(cls, source: str, m: int | None = None) -> "BoolFunction":
@@ -440,29 +428,6 @@ class CensusReport(Record):
     differentiable: tuple[bool, ...]
     expected: tuple[bool, ...]
     matches: bool
-    __match_args__ = ("m", "differentiable", "expected", "matches")
-
-    def __init__(
-        self,
-        m: int,
-        differentiable: tuple[bool, ...],
-        expected: tuple[bool, ...],
-        matches: bool,
-    ):
-        set_field(self, "m", m)
-        set_field(self, "differentiable", differentiable)
-        set_field(self, "expected", expected)
-        set_field(self, "matches", matches)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.differentiable, self.expected, self.matches) == (
-                other.m, other.differentiable, other.expected, other.matches
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.differentiable, self.expected, self.matches))
 
 
 def scalar_differentiability_census(f: BoolFunction) -> CensusReport:
@@ -491,47 +456,12 @@ class LeibnizTrial(Record):
     inner: GF2Matrix
     candidate: GF2Matrix
     is_differential: bool
-    __match_args__ = ("outer", "inner", "candidate", "is_differential")
-
-    def __init__(
-        self, outer: GF2Matrix, inner: GF2Matrix, candidate: GF2Matrix, is_differential: bool
-    ):
-        set_field(self, "outer", outer)
-        set_field(self, "inner", inner)
-        set_field(self, "candidate", candidate)
-        set_field(self, "is_differential", is_differential)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.outer, self.inner, self.candidate, self.is_differential) == (
-                other.outer, other.inner, other.candidate, other.is_differential
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.outer, self.inner, self.candidate, self.is_differential))
 
 
 class LeibnizReport(Record):
     total: int
     satisfied: int
     trials: tuple[LeibnizTrial, ...]
-    __match_args__ = ("total", "satisfied", "trials")
-
-    def __init__(self, total: int, satisfied: int, trials: tuple[LeibnizTrial, ...]):
-        set_field(self, "total", total)
-        set_field(self, "satisfied", satisfied)
-        set_field(self, "trials", trials)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.total, self.satisfied, self.trials) == (
-                other.total, other.satisfied, other.trials
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.total, self.satisfied, self.trials))
 
 
 def leibniz_probe(f: BoolFunction, g: BoolFunction, b: Sequence[int] | int) -> LeibnizReport:

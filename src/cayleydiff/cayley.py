@@ -13,19 +13,13 @@ neighborhoods are read off one bucket of maps per such d.
 
 The hypercube B_n is the Cayley graph of z2^n over its unit vectors
 (:func:`hypercube`).
-
-The infinite integer line Z has no finite Cayley graph, so it has no
-``MapSpace``.  :class:`IntegerMap` only names the two members of D(Z, Z),
-the zero map and the identity, for the window criterion
-:func:`cayleydiff.differential.integers_differentiable_at`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .errors import CrossCheckMismatch, DimMismatch, Record, set_field
+from .errors import CrossCheckMismatch, DimMismatch, Record
 from .groups import (
     FiniteGroup,
     GeneratingSet,
@@ -51,7 +45,6 @@ __all__ = [
     "left_mult_automorphism_check",
     "diff_space",
     "group_multiplication_map",
-    "IntegerMap",
 ]
 
 
@@ -59,26 +52,13 @@ class CayleyGraph(Record):
     group: FiniteGroup
     gens: GeneratingSet
     digraph: ReflexiveDigraph
-    __match_args__ = ("group", "gens", "digraph")
 
-    def __init__(self, group: FiniteGroup, gens: GeneratingSet, digraph: ReflexiveDigraph):
-        set_field(self, "group", group)
-        set_field(self, "gens", gens)
-        set_field(self, "digraph", digraph)
+    def _validate(self) -> None:
+        group, digraph = self.group, self.digraph
         if digraph.size != group.order:
             raise DimMismatch(
                 f"digraph on {digraph.size} vertices for group of order {group.order}"
             )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.gens, self.digraph) == (
-                other.group, other.gens, other.digraph
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.gens, self.digraph))
 
 
 def cayley_graph(group: FiniteGroup, gens: Iterable[int] | GeneratingSet) -> CayleyGraph:
@@ -99,7 +79,7 @@ def hypercube(n: int) -> CayleyGraph:
     return cayley_graph(group, GeneratingSet(tuple(2**k for k in range(n))))
 
 
-class AutomorphismCheck(NamedTuple):
+class AutomorphismCheck(Record):
     ok: bool
     witness: str | None
 
@@ -249,13 +229,3 @@ def group_multiplication_map(c: CayleyGraph) -> FiniteMap:
         c.group.table[a][b] for a in range(n) for b in range(n)
     )
     return FiniteMap(n * n, n, values)
-
-
-class IntegerMap(Enum):
-    """The two members of D(Z, Z): the zero map and the identity."""
-
-    ZERO = "zero"
-    IDENTITY = "identity"
-
-    def evaluate(self, n: int) -> int:
-        return 0 if self is IntegerMap.ZERO else n

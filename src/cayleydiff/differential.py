@@ -19,18 +19,10 @@ literal sweep over all principal filters at the point
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
 
 from . import guards
-from .cayley import IntegerMap, _order2_generators
-from .errors import (
-    DimMismatch,
-    HypothesisViolated,
-    NotCayley,
-    Record,
-    WindowTooSmall,
-    set_field,
-)
+from .cayley import _order2_generators
+from .errors import DimMismatch, HypothesisViolated, NotCayley, Record
 from .groups import squares_subgroup
 from .spaces import (
     FiniteMap,
@@ -49,7 +41,6 @@ __all__ = [
     "t1_forces_value_check",
     "ChainRuleReport",
     "chain_rule_check",
-    "integers_differentiable_at",
 ]
 
 
@@ -57,12 +48,9 @@ class DifferentialQuery(Record):
     space: MapSpace
     f: FiniteMap
     a: int
-    __match_args__ = ("space", "f", "a")
 
-    def __init__(self, space: MapSpace, f: FiniteMap, a: int):
-        set_field(self, "space", space)
-        set_field(self, "f", f)
-        set_field(self, "a", a)
+    def _validate(self) -> None:
+        space, f, a = self.space, self.f, self.a
         n = space.domain.size
         if f.dom_size != n:
             raise DimMismatch(f"function domain {f.dom_size} != space domain {n}")
@@ -72,14 +60,6 @@ class DifferentialQuery(Record):
             )
         if not 0 <= a < n:
             raise DimMismatch(f"point {a} outside the domain carrier")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.f, self.a) == (other.space, other.f, other.a)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.f, self.a))
 
 
 def differentials_at(q: DifferentialQuery) -> tuple[int, ...]:
@@ -251,61 +231,6 @@ class ChainRuleReport(Record):
     composite_differentials: tuple[int, ...]
     violations: tuple[tuple[int, int], ...]
     missing_composites: tuple[tuple[int, int], ...]
-    __match_args__ = (
-        "holds",
-        "inner_differentials",
-        "outer_differentials",
-        "composite_differentials",
-        "violations",
-        "missing_composites",
-    )
-
-    def __init__(
-        self,
-        holds: bool,
-        inner_differentials: tuple[int, ...],
-        outer_differentials: tuple[int, ...],
-        composite_differentials: tuple[int, ...],
-        violations: tuple[tuple[int, int], ...],
-        missing_composites: tuple[tuple[int, int], ...],
-    ):
-        set_field(self, "holds", holds)
-        set_field(self, "inner_differentials", inner_differentials)
-        set_field(self, "outer_differentials", outer_differentials)
-        set_field(self, "composite_differentials", composite_differentials)
-        set_field(self, "violations", violations)
-        set_field(self, "missing_composites", missing_composites)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.holds,
-                self.inner_differentials,
-                self.outer_differentials,
-                self.composite_differentials,
-                self.violations,
-                self.missing_composites,
-            ) == (
-                other.holds,
-                other.inner_differentials,
-                other.outer_differentials,
-                other.composite_differentials,
-                other.violations,
-                other.missing_composites,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (
-                self.holds,
-                self.inner_differentials,
-                self.outer_differentials,
-                self.composite_differentials,
-                self.violations,
-                self.missing_composites,
-            )
-        )
 
 
 def chain_rule_check(
@@ -355,21 +280,3 @@ def chain_rule_check(
         missing_composites=tuple(missing),
     )
 
-
-def integers_differentiable_at(window: Mapping[int, int], n: int) -> frozenset[IntegerMap]:
-    """Differentials of an integer-line function at n, from a finite window.
-
-    The smallest neighborhood of n on the line is {n, n+1} and the map
-    space is discrete, so only two values of the window matter: the
-    zero map qualifies when f(n) = f(n+1) = 0, the identity when
-    f(n) = n and f(n+1) = n+1.
-    """
-    missing = [p for p in (n, n + 1) if p not in window]
-    if missing:
-        raise WindowTooSmall(f"window lacks required points {missing}")
-    out = set()
-    if window[n] == 0 and window[n + 1] == 0:
-        out.add(IntegerMap.ZERO)
-    if window[n] == n and window[n + 1] == n + 1:
-        out.add(IntegerMap.IDENTITY)
-    return frozenset(out)

@@ -10,6 +10,8 @@ computations of the same value disagreed.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = [
     "Error",
     "MalformedTable",
@@ -23,7 +25,6 @@ __all__ = [
     "NotContinuous",
     "NotCayley",
     "DimMismatch",
-    "WindowTooSmall",
     "HypothesisViolated",
     "NotDifferentiable",
     "CrossCheckMismatch",
@@ -97,10 +98,6 @@ class DimMismatch(Error):
     """Point or matrix dimensions do not match the ambient space."""
 
 
-class WindowTooSmall(Error):
-    """An integer window does not cover the points the criterion reads."""
-
-
 class HypothesisViolated(Error):
     """A theorem-check hypothesis (e.g. continuity at a point) fails."""
 
@@ -116,11 +113,20 @@ class CrossCheckMismatch(Error):
 class Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its fields in ``__match_args__``, in order, stores
-    them in its own ``__init__`` through :data:`set_field`, and defines
-    ``__eq__`` (between instances of the same class only) and
-    ``__hash__`` over the fields it compares.  The base supplies the
-    repr, ``Name(field=value, ...)``, and refuses assignment and
+    A record declares each field once, as an annotation in its class
+    body, in order; a field with a default is written
+    ``name: type = default``.  A record may also name, in ``_compared``,
+    the fields that ``==`` and ``hash`` use (all of them if it does
+    not), and define ``_validate``, which checks the stored fields and
+    raises a package error.  A subclass that declares no field keeps
+    its parent's.
+
+    From the fields the base supplies ``__match_args__``, one
+    ``__init__`` that binds arguments as a function with that signature
+    would, applies the defaults, stores the fields and calls
+    ``_validate``; ``__eq__`` (between instances of the same class
+    only) and ``__hash__``, both over the compared fields as a tuple;
+    the repr, ``Name(field=value, ...)``; and refusal of assignment and
     deletion with ``FrozenInstanceError``, an :class:`AttributeError`.
     That error is imported only when it is raised: its module loads
     ``inspect``, ``ast``, ``dis`` and ``tokenize``, a large share of the
@@ -128,6 +134,57 @@ class Record:
     """
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not fields:
+            return
+        cls.__match_args__ = fields
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        compared = cls.__dict__.get("_compared", fields)
+        get = attrgetter(*compared)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self._validate()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, for a call other than one
+        positional argument per field."""
+        fields, name = self.__match_args__, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args) :]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        if kwargs:
+            raise TypeError(
+                f"{name}() got keyword argument {next(iter(kwargs))!r}, "
+                "which names no field or one already given by position"
+            )
+        return values
+
+    def _validate(self) -> None:
+        """Check the stored fields; a record with checks overrides this."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -140,7 +197,7 @@ class Record:
         raise _frozen(f"cannot delete field {name!r}")
 
 
-# stores a field past Record.__setattr__; __init__ methods call it directly
+# stores a field past Record.__setattr__
 set_field = object.__setattr__
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimMismatch, Record, set_field
+from .errors import DimMismatch, Record
 
 if TYPE_CHECKING:
     from .spaces import FiniteMap
@@ -56,12 +56,9 @@ class GF2Matrix(Record):
     rows: int
     cols: int
     bits: tuple[tuple[int, ...], ...]
-    __match_args__ = ("rows", "cols", "bits")
 
-    def __init__(self, rows: int, cols: int, bits: tuple[tuple[int, ...], ...]):
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-        set_field(self, "bits", bits)
+    def _validate(self) -> None:
+        rows, cols, bits = self.rows, self.cols, self.bits
         if len(bits) != rows:
             raise DimMismatch(f"{len(bits)} rows, declared {rows}")
         for row in bits:
@@ -70,14 +67,6 @@ class GF2Matrix(Record):
             for v in row:
                 if v not in (0, 1):
                     raise DimMismatch(f"entry {v!r} is not a bit")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.bits) == (other.rows, other.cols, other.bits)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.bits))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "GF2Matrix":

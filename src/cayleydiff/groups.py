@@ -33,7 +33,6 @@ from .errors import (
     NotGenerating,
     Record,
     Redundant,
-    set_field,
 )
 from .spaces import FiniteMap
 
@@ -66,31 +65,9 @@ class FiniteGroup(Record):
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int
-    names: tuple[str, ...] | None
-    __match_args__ = ("order", "table", "identity", "names")
-
-    def __init__(
-        self,
-        order: int,
-        table: tuple[tuple[int, ...], ...],
-        identity: int = 0,
-        names: tuple[str, ...] | None = None,
-    ):
-        set_field(self, "order", order)
-        set_field(self, "table", table)
-        set_field(self, "identity", identity)
-        set_field(self, "names", names)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order, self.table, self.identity) == (
-                other.order, other.table, other.identity
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.table, self.identity))
+    identity: int = 0
+    names: tuple[str, ...] | None = None
+    _compared = ("order", "table", "identity")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -103,18 +80,6 @@ class GeneratingSet(Record):
     """Validated non-redundant generating set, stored sorted."""
 
     elements: tuple[int, ...]
-    __match_args__ = ("elements",)
-
-    def __init__(self, elements: tuple[int, ...]):
-        set_field(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elements,))
 
 
 def group_from_table(

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import guards
-from .errors import DimMismatch, MalformedTable, NotContinuous, Record, set_field
+from .errors import DimMismatch, MalformedTable, NotContinuous, Record
 
 if TYPE_CHECKING:
     from .cayley import CayleyGraph
@@ -59,27 +59,14 @@ class FiniteMap(Record):
     dom_size: int
     cod_size: int
     values: tuple[int, ...]
-    __match_args__ = ("dom_size", "cod_size", "values")
 
-    def __init__(self, dom_size: int, cod_size: int, values: tuple[int, ...]):
-        set_field(self, "dom_size", dom_size)
-        set_field(self, "cod_size", cod_size)
-        set_field(self, "values", values)
+    def _validate(self) -> None:
+        dom_size, cod_size, values = self.dom_size, self.cod_size, self.values
         if len(values) != dom_size:
             raise DimMismatch(f"map has {len(values)} values for domain size {dom_size}")
         for v in values:
             if not 0 <= v < cod_size:
                 raise DimMismatch(f"value {v} outside codomain 0..{cod_size - 1}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dom_size, self.cod_size, self.values) == (
-                other.dom_size, other.cod_size, other.values
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dom_size, self.cod_size, self.values))
 
     @classmethod
     def _trusted(
@@ -131,10 +118,9 @@ class ReflexiveDigraph(Record):
     """Vertices ``0..size-1`` with reflexive out-neighborhood sets."""
 
     nbhd: tuple[frozenset[int], ...]
-    __match_args__ = ("nbhd",)
 
-    def __init__(self, nbhd: tuple[frozenset[int], ...]):
-        set_field(self, "nbhd", nbhd)
+    def _validate(self) -> None:
+        nbhd = self.nbhd
         n = len(nbhd)
         for v, nv in enumerate(nbhd):
             if v not in nv:
@@ -142,14 +128,6 @@ class ReflexiveDigraph(Record):
             for u in nv:
                 if not 0 <= u < n:
                     raise MalformedTable(f"neighbor {u} of {v} outside 0..{n - 1}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.nbhd == other.nbhd
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nbhd,))
 
     @property
     def size(self) -> int:
@@ -164,20 +142,10 @@ class PrincipalFilter(Record):
     """A filter on a finite carrier, identified with its minimal set."""
 
     minset: frozenset[int]
-    __match_args__ = ("minset",)
 
-    def __init__(self, minset: frozenset[int]):
-        set_field(self, "minset", minset)
-        if not minset:
+    def _validate(self) -> None:
+        if not self.minset:
             raise MalformedTable("principal filter needs a nonempty minimal set")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.minset == other.minset
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.minset,))
 
     @classmethod
     def point(cls, v: int) -> "PrincipalFilter":
@@ -277,32 +245,7 @@ class MapSpace(Record):
     codomain: ReflexiveDigraph
     maps: tuple[FiniteMap, ...]
     nbhd: tuple[frozenset[int], ...]
-    cayley: tuple[CayleyGraph, CayleyGraph] | None
-    __match_args__ = ("domain", "codomain", "maps", "nbhd", "cayley")
-
-    def __init__(
-        self,
-        domain: ReflexiveDigraph,
-        codomain: ReflexiveDigraph,
-        maps: tuple[FiniteMap, ...],
-        nbhd: tuple[frozenset[int], ...],
-        cayley: tuple[CayleyGraph, CayleyGraph] | None = None,
-    ):
-        set_field(self, "domain", domain)
-        set_field(self, "codomain", codomain)
-        set_field(self, "maps", maps)
-        set_field(self, "nbhd", nbhd)
-        set_field(self, "cayley", cayley)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.domain, self.codomain, self.maps, self.nbhd, self.cayley) == (
-                other.domain, other.codomain, other.maps, other.nbhd, other.cayley
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.maps, self.nbhd, self.cayley))
+    cayley: tuple[CayleyGraph, CayleyGraph] | None = None
 
     @cached_property
     def _nbhd_masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -462,23 +405,6 @@ class SpaceProperties(Record):
     is_T1: bool
     is_discrete: bool
     is_topological: bool
-    __match_args__ = ("is_T0", "is_T1", "is_discrete", "is_topological")
-
-    def __init__(self, is_T0: bool, is_T1: bool, is_discrete: bool, is_topological: bool):
-        set_field(self, "is_T0", is_T0)
-        set_field(self, "is_T1", is_T1)
-        set_field(self, "is_discrete", is_discrete)
-        set_field(self, "is_topological", is_topological)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.is_T0, self.is_T1, self.is_discrete, self.is_topological) == (
-                other.is_T0, other.is_T1, other.is_discrete, other.is_topological
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.is_T0, self.is_T1, self.is_discrete, self.is_topological))
 
 
 def space_properties(space: ReflexiveDigraph) -> SpaceProperties:

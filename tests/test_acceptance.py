@@ -20,7 +20,6 @@ from cayleydiff.boolean import (
 )
 from cayleydiff.boolean import _neighbor_criterion
 from cayleydiff.cayley import (
-    IntegerMap,
     cayley_graph,
     diff_space,
     group_multiplication_map,
@@ -33,7 +32,6 @@ from cayleydiff.differential import (
     differential_oracle,
     differentials_at,
     differentials_by_theorem,
-    integers_differentiable_at,
     t1_forces_value_check,
 )
 from cayleydiff.groups import (
@@ -100,17 +98,26 @@ def test_c01_pentacle_neighborhoods_and_separation():
 
 
 def test_c02_integer_line_window_criterion():
+    # windows of the line read on D(Z_7, Z_7): their points and values lie
+    # in -3..3, where reduction mod 7 is injective
+    line = cayley_graph(cyclic_group(7), GeneratingSet((1,)))
+    space = diff_space(line, line)
+    zero, ident = (phi.values for phi in space.maps)
+    assert zero == (0,) * 7 and ident == tuple(range(7))
     for n in (-1, 0, 1):
         pts = (n - 1, n, n + 1, n + 2)
         for vals in itertools.product(range(-2, 3), repeat=4):
             window = dict(zip(pts, vals))
-            got = integers_differentiable_at(window, n)
-            want = set()
+            values = [0] * 7
+            for p, v in window.items():
+                values[p % 7] = v % 7
+            got = differentials_at(DifferentialQuery(space, FiniteMap(7, 7, tuple(values)), n % 7))
+            want = []
             if window[n] == 0 and window[n + 1] == 0:
-                want.add(IntegerMap.ZERO)
+                want.append(0)
             if window[n] == n and window[n + 1] == n + 1:
-                want.add(IntegerMap.IDENTITY)
-            assert got == frozenset(want), (n, window)
+                want.append(1)
+            assert got == tuple(want), (n, window)
 
 
 def test_c03_integer_plane_members_and_box_addition():

@@ -4,7 +4,6 @@ import pytest
 
 from cayleydiff.cayley import (
     CayleyGraph,
-    IntegerMap,
     cayley_graph,
     diff_space,
     group_multiplication_map,
@@ -183,8 +182,6 @@ def test_integer_line_space():
         assert ident.compose(ident) == ident
         assert zero.compose(ident) == zero
         assert ident.compose(zero) == zero
-    assert IntegerMap.ZERO.evaluate(17) == 0
-    assert IntegerMap.IDENTITY.evaluate(17) == 17
 
 
 def test_integer_plane_space():

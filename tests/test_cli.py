@@ -770,7 +770,7 @@ def test_lazy_package_serves_every_public_name():
         "solve_matrix_equation", "CayleyGraph", "cayley_graph", "diff_space",
         "left_mult_automorphism_check", "DifferentialQuery", "chain_rule_check",
         "differential_oracle", "differentials_at", "differentials_by_theorem",
-        "integers_differentiable_at", "t1_forces_value_check", "FiniteGroup",
+        "t1_forces_value_check", "FiniteGroup",
         "GeneratingSet", "closure", "cyclic_group", "direct_sum", "element_order",
         "enumerate_homomorphisms", "group_from_table", "symmetric_group",
         "validate_generating_set", "z2_power_group", "FiniteMap", "MapSpace",

@@ -11,16 +11,9 @@ from cayleydiff.differential import (
     differential_oracle,
     differentials_at,
     differentials_by_theorem,
-    integers_differentiable_at,
     t1_forces_value_check,
 )
-from cayleydiff.cayley import IntegerMap
-from cayleydiff.errors import (
-    DimMismatch,
-    HypothesisViolated,
-    NotCayley,
-    WindowTooSmall,
-)
+from cayleydiff.errors import DimMismatch, HypothesisViolated, NotCayley
 from cayleydiff.groups import (
     GeneratingSet,
     cyclic_group,
@@ -209,28 +202,26 @@ def test_chain_rule_on_homomorphisms():
         assert report.composite_differentials
 
 
-def test_integer_window_errors():
-    with pytest.raises(WindowTooSmall):
-        integers_differentiable_at({0: 0}, 0)
-    with pytest.raises(WindowTooSmall):
-        integers_differentiable_at({1: 1}, 0)
-
-
-def test_integer_window_examples():
-    assert integers_differentiable_at({3: 0, 4: 0}, 3) == frozenset(
-        {IntegerMap.ZERO}
-    )
-    assert integers_differentiable_at({3: 3, 4: 4}, 3) == frozenset(
-        {IntegerMap.IDENTITY}
-    )
-    # f(1)=1 != 0 kills the zero map
-    assert integers_differentiable_at({0: 0, 1: 1}, 0) == frozenset(
-        {IntegerMap.IDENTITY}
-    )
-    assert integers_differentiable_at({-1: 0, 0: 0}, -1) == frozenset(
-        {IntegerMap.ZERO}
-    )
-    assert integers_differentiable_at({5: 1, 6: 2}, 5) == frozenset()
+def test_cyclic_line_differentials_follow_the_window_rule():
+    # D(Z_N, Z_N), N >= 3, holds the zero map (index 0) and the identity
+    # (index 1), both isolated; each is a differential of f at a exactly
+    # when it agrees with f on N(a) = {a, a+1}
+    checks = 0
+    for n in (3, 4, 5):
+        line = cayley_graph(cyclic_group(n), GeneratingSet((1,)))
+        space = diff_space(line, line)
+        for values in itertools.product(range(n), repeat=n):
+            f = FiniteMap(n, n, values)
+            for a in range(n):
+                b = (a + 1) % n
+                want = []
+                if values[a] == values[b] == 0:
+                    want.append(0)
+                if values[a] == a and values[b] == b:
+                    want.append(1)
+                assert differentials_at(DifferentialQuery(space, f, a)) == tuple(want)
+                checks += 1
+    assert checks == 16_730
 
 
 def test_oracle_literal_mode_sweeps_subsets(s3_to_s3):

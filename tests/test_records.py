@@ -15,7 +15,7 @@ import pytest
 
 import cayleydiff
 from cayleydiff.boolean import BoolFunction, CensusReport, LeibnizReport, LeibnizTrial
-from cayleydiff.cayley import CayleyGraph
+from cayleydiff.cayley import AutomorphismCheck, CayleyGraph
 from cayleydiff.differential import ChainRuleReport, DifferentialQuery
 from cayleydiff.errors import DimMismatch, MalformedTable
 from cayleydiff.gf2 import GF2Matrix
@@ -123,6 +123,13 @@ RECORDS = {
         "names=('e', 'a')), gens=GeneratingSet(elements=(1,)), "
         "digraph=ReflexiveDigraph(nbhd=(frozenset({0, 1}), frozenset({0, 1}))))",
         ("CayleyGraph(z2(), GeneratingSet((1,)), point())", "DimMismatch"),
+    ),
+    AutomorphismCheck: (
+        lambda: {"ok": False, "witness": "left multiplication by 1 is not a bijection"},
+        {},
+        {},
+        "AutomorphismCheck(ok=False, witness='left multiplication by 1 is not a bijection')",
+        None,
     ),
     DifferentialQuery: (
         lambda: {"space": point_space(), "f": FiniteMap(1, 1, (0,)), "a": 0},
@@ -254,6 +261,17 @@ def test_record_behaves_as_a_frozen_dataclass(cls, errors_under_O):
     for name, value in defaults.items():
         assert getattr(with_defaults, name) == value
 
+    # arguments bind as they do to a function with the fields as parameters
+    first = next(iter(fields()))
+    with pytest.raises(TypeError):
+        cls(**{k: v for k, v in fields().items() if k != first})
+    with pytest.raises(TypeError):
+        cls(**fields(), extra=None)
+    with pytest.raises(TypeError):
+        cls(*fields().values(), None)
+    with pytest.raises(TypeError):
+        cls(fields()[first], **fields())
+
     # == and hash over the compared fields, and only within one class
     assert by_keyword == by_position and not by_keyword != by_position
     compared = tuple(v for k, v in fields().items() if k not in ignored)
@@ -269,7 +287,6 @@ def test_record_behaves_as_a_frozen_dataclass(cls, errors_under_O):
     assert repr(by_keyword) == want_repr
 
     # frozen: no field can be assigned or deleted, nor a new attribute added
-    first = next(iter(fields()))
     for name in (first, "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
             setattr(by_keyword, name, None)
