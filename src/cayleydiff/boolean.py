@@ -384,43 +384,25 @@ def _has_differential(values, m: int, b: int) -> bool:
 def solve_matrix_equation(f: BoolFunction, b: Sequence[int] | int) -> tuple[GF2Matrix, ...]:
     """Continuous linear maps agreeing with f on the whole ball around b.
 
-    Solves one GF(2) linear system per output row, takes the product of
-    the row solution sets, and keeps the continuous results.  Restricted
-    to isolated matrices this is an independent route to the first case
-    of the classification.
+    Solves one GF(2) linear system per output row by Gaussian
+    elimination.  The ball spans GF(2)^m, since e_j = b + (b + e_j), so
+    each system has at most one solution: the answer is the one matrix
+    they give, if every system is consistent and it is continuous.
+    Restricted to isolated matrices this is an independent route to the
+    first case of the classification.
     """
     b_idx = _normalize_point(b, f.m)
     near = neighborhood_indices(b_idx, f.m)
     # rows of the system: the points themselves, bit j <-> column j
-    sys_rows = []
-    for x in near:
-        bits = index_point(x, f.m)
-        mask = 0
-        for j, bit in enumerate(bits):
-            if bit:
-                mask |= 1 << j
-        sys_rows.append(mask)
-    row_solutions: list[list[int]] = []
-    total = 1
+    sys_rows = [sum(bit << j for j, bit in enumerate(index_point(x, f.m))) for x in near]
+    rows = []
     for r in range(f.n):
-        rhs = [f.table[x][r] for x in near]
-        solved = gf2.solve_affine(sys_rows, rhs, f.m)
-        if solved is None:
+        solution = gf2.solve_affine(sys_rows, [f.table[x][r] for x in near])
+        if solution is None:
             return ()
-        particular, basis = solved
-        sols = gf2.all_solutions(particular, basis)
-        row_solutions.append(sols)
-        total *= len(sols)
-        guards.check("bool_candidates", total, "matrix equation solution sweep")
-    out = []
-    for picks in itertools.product(*row_solutions):
-        bits = tuple(
-            tuple((mask >> j) & 1 for j in range(f.m)) for mask in picks
-        )
-        mt = GF2Matrix(f.n, f.m, bits)
-        if is_continuous_linear(mt):
-            out.append(mt)
-    return tuple(sorted(out, key=lambda mt: mt.bits))
+        rows.append(tuple((solution >> j) & 1 for j in range(f.m)))
+    mt = GF2Matrix(f.n, f.m, tuple(rows))
+    return (mt,) if is_continuous_linear(mt) else ()
 
 
 class CensusReport(Record):

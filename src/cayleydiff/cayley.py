@@ -9,7 +9,12 @@ exactly when it sends S into N(e) = {e} union T, so D(C, D) is
 enumerated by sweeping only those generator images.  Two distinct
 members are neighbors exactly when both images fit inside
 {identity, d} for a single order-2 generator d of the codomain, so
-neighborhoods are read off one bucket of maps per such d.
+neighborhoods are read off one bucket of maps per such d.  The oracle
+behind ``cross_check=True`` leans on neither shortcut: it sweeps the
+generator images that continuity at the identity allows, keeps the
+maps that satisfy the homomorphism identity on every Cayley edge,
+checks their global continuity, and compares every pair of them by
+the generic map-space criterion.
 
 The hypercube B_n is the Cayley graph of z2^n over its unit vectors
 (:func:`hypercube`).
@@ -17,13 +22,15 @@ The hypercube B_n is the Cayley graph of z2^n over its unit vectors
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from .errors import CrossCheckMismatch, DimMismatch, Record
+from . import guards
+from .errors import CrossCheckMismatch, DimMismatch, NotContinuous, Record
 from .groups import (
     FiniteGroup,
     GeneratingSet,
-    _enumerate_homomorphisms_sweep,
+    _closure_words,
     _homs_along_tree,
     element_order,
     validate_generating_set,
@@ -33,7 +40,6 @@ from .spaces import (
     FiniteMap,
     MapSpace,
     ReflexiveDigraph,
-    _hom_neighbor_criterion,
     is_continuous,
 )
 
@@ -120,9 +126,10 @@ def diff_space(
     A homomorphism is continuous exactly when it sends every Cayley
     generator of the domain into N(e) = {e} union T of the codomain, so
     only those generator images are swept.  Neighborhoods use the order-2
-    generator criterion.  With ``cross_check`` the space is rebuilt
-    through :func:`_diff_space_sweep` and checked against the generic
-    definitions; any disagreement raises :class:`CrossCheckMismatch`.
+    generator criterion.  With ``cross_check`` the maps and neighborhoods
+    are compared with those of :func:`_diff_space_sweep`, which builds
+    the space from the definitions; any disagreement raises
+    :class:`CrossCheckMismatch`.
     """
     e_h = codomain.group.identity
     gens = domain.gens.elements
@@ -149,40 +156,18 @@ def diff_space(
     )
 
     if cross_check:
-        homs, ref = _diff_space_sweep(domain, codomain)
+        ref = _diff_space_sweep(domain, codomain)
         if ref.maps != space.maps:
             raise CrossCheckMismatch(
                 f"{len(space.maps)} continuous homomorphisms from the generator "
-                f"sweep, {len(ref.maps)} from the full sweep"
+                f"sweep, {len(ref.maps)} from the definition"
             )
         if ref.nbhd != space.nbhd:
             i = next(i for i, (a, b) in enumerate(zip(ref.nbhd, space.nbhd)) if a != b)
             raise CrossCheckMismatch(
                 f"neighborhood of map {i}: buckets give {sorted(space.nbhd[i])}, "
-                f"pair loop gives {sorted(ref.nbhd[i])}"
+                f"generic criterion gives {sorted(ref.nbhd[i])}"
             )
-        ne_h = codomain.digraph.nbhd[e_h]
-        ne_g = domain.digraph.nbhd[domain.group.identity]
-        for phi in homs:
-            at_identity = all(phi.values[x] in ne_h for x in ne_g)
-            globally = is_continuous(domain.digraph, codomain.digraph, phi)
-            if at_identity != globally:
-                raise CrossCheckMismatch(
-                    f"continuity at identity ({at_identity}) disagrees with global "
-                    f"continuity ({globally}) for map {phi.values}"
-                )
-        # the loop above proved every listed map continuous, so the pair
-        # loop runs the generic criterion without re-checking continuity
-        for i in range(len(maps)):
-            for j in range(len(maps)):
-                generic = _hom_neighbor_criterion(
-                    domain.digraph, codomain.digraph, maps[j], maps[i]
-                )
-                if generic != (j in space.nbhd[i]):
-                    raise CrossCheckMismatch(
-                        f"map-space edge ({j} -> {i}): generic criterion says "
-                        f"{generic}, order-2 generator criterion says not"
-                    )
     return space
 
 
@@ -190,36 +175,38 @@ def _order2_generators(c: CayleyGraph) -> frozenset[int]:
     return frozenset(d for d in c.gens.elements if element_order(c.group, d) == 2)
 
 
-def _diff_space_sweep(
-    domain: CayleyGraph, codomain: CayleyGraph
-) -> tuple[tuple[FiniteMap, ...], MapSpace]:
-    """Oracle for :func:`diff_space`: every homomorphism from the full
-    |H|^k sweep, and D(domain, codomain) obtained from them by filtering
-    on continuity at the identity and comparing every pair of members."""
-    homs = _enumerate_homomorphisms_sweep(domain.group, codomain.group)
-    ne_h = codomain.digraph.nbhd[codomain.group.identity]
-    ne_g = domain.digraph.nbhd[domain.group.identity]
-    maps = tuple(
-        phi for phi in homs if all(phi.values[x] in ne_h for x in ne_g)
-    )
+def _diff_space_sweep(domain: CayleyGraph, codomain: CayleyGraph) -> MapSpace:
+    """Oracle for :func:`diff_space`, built from the definition.
 
-    order2 = _order2_generators(codomain)
-    images = [phi.image() for phi in maps]
-    e_h = codomain.group.identity
-    nbhd = []
-    for i in range(len(maps)):
-        cur = {i}
-        for j in range(len(maps)):
-            if j == i:
-                continue
-            both = images[i] | images[j]
-            if any(both <= frozenset((e_h, d)) for d in order2):
-                cur.add(j)
-        nbhd.append(frozenset(cur))
-    space = MapSpace(
-        domain.digraph, codomain.digraph, maps, tuple(nbhd), (domain, codomain)
-    )
-    return homs, space
+    Every assignment of the domain's Cayley generators S into
+    N(e) = {e} union T is extended along BFS words over S and kept when
+    phi(x*s) = phi(x)*phi(s) for every x and every s in S, which makes
+    it a homomorphism.  Neighborhoods come from
+    :meth:`MapSpace.from_continuous_maps`, which also checks each kept
+    map's global continuity and compares every pair of maps by the
+    generic criterion.
+    """
+    g, h = domain.group, codomain.group
+    gens = domain.gens.elements
+    allowed = sorted(codomain.digraph.nbhd[h.identity])
+    guards.check("hom_candidates", len(allowed) ** len(gens), "D(C,D) oracle sweep")
+    words = _closure_words(g, gens)
+    tg, th = g.table, h.table
+    maps = []
+    for images in itertools.product(allowed, repeat=len(gens)):
+        image_of = dict(zip(gens, images))
+        phi = [h.identity] * g.order
+        for x, word in words.items():
+            for s in word:
+                phi[x] = th[phi[x]][image_of[s]]
+        if all(phi[tg[x][s]] == th[phi[x]][image_of[s]] for x in range(g.order) for s in gens):
+            maps.append(FiniteMap(g.order, h.order, tuple(phi)))
+    maps.sort(key=lambda f: f.values)
+    guards.check("oracle_work", len(maps) ** 2, "D(C,D) oracle pair comparison")
+    try:
+        return MapSpace.from_continuous_maps(domain.digraph, codomain.digraph, maps)
+    except NotContinuous as exc:
+        raise CrossCheckMismatch(f"homomorphism sending S into N(e) is not continuous: {exc}")
 
 
 def group_multiplication_map(c: CayleyGraph) -> FiniteMap:

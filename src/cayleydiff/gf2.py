@@ -3,13 +3,13 @@
 Points are bit tuples; the index of a point spells its bits with
 variable 1 as the most significant bit.  :class:`GF2Matrix` is a dense
 0/1 matrix acting on column bit vectors.  The solver works on rows
-given as ints, bit j standing for variable j, and solves the small
-matrix equations of the Boolean differential routines.
+given as ints, bit j standing for variable j, and returns one solution
+of the small matrix equations of the Boolean differential routines,
+whose systems have full column rank.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimMismatch, Record
@@ -24,7 +24,6 @@ __all__ = [
     "neighborhood_indices",
     "GF2Matrix",
     "solve_affine",
-    "all_solutions",
 ]
 
 BoolPoint = tuple[int, ...]
@@ -140,17 +139,15 @@ class GF2Matrix(Record):
         )
 
 
-def solve_affine(
-    rows: list[int], rhs: list[int], width: int
-) -> tuple[int, list[int]] | None:
+def solve_affine(rows: list[int], rhs: list[int]) -> int | None:
     """Solve row.x = rhs over GF(2) for all equations at once.
 
-    Returns (particular solution, nullspace basis) as bitmasks, or None
-    when the system is inconsistent.
+    Returns one solution as a bitmask, with every free variable 0, or
+    None when the system is inconsistent.
     """
-    aug = [(r, b & 1) for r, b in zip(rows, rhs)]
     pivots: list[tuple[int, int, int]] = []  # (column bit, row, rhs)
-    for r, b in aug:
+    for r, b in zip(rows, rhs):
+        b &= 1
         for bit, pr, pb in pivots:
             if r & bit:
                 r ^= pr
@@ -159,38 +156,10 @@ def solve_affine(
             if b:
                 return None
             continue
-        low = r & -r
-        pivots.append((low, r, b))
-    particular = 0
-    pivot_cols = 0
+        pivots.append((r & -r, r, b))
+    solution = 0
     # back-substitute from the last pivot upward
     for bit, r, b in reversed(pivots):
-        others = r & ~bit
-        val = b ^ bin(others & particular).count("1") % 2
-        if val:
-            particular |= bit
-        pivot_cols |= bit
-    basis = []
-    for j in range(width):
-        free = 1 << j
-        if pivot_cols & free:
-            continue
-        vec = free
-        for bit, r, b in reversed(pivots):
-            others = r & ~bit
-            if bin(others & vec).count("1") % 2:
-                vec |= bit
-        basis.append(vec)
-    return particular, basis
-
-
-def all_solutions(particular: int, basis: list[int]) -> list[int]:
-    """Every solution of the affine system, 2^len(basis) bitmasks."""
-    out = []
-    for picks in itertools.product((0, 1), repeat=len(basis)):
-        v = particular
-        for take, vec in zip(picks, basis):
-            if take:
-                v ^= vec
-        out.append(v)
-    return out
+        if b ^ bin(r & ~bit & solution).count("1") % 2:
+            solution |= bit
+    return solution

@@ -13,7 +13,10 @@ in C.  Optional names are display-only and never affect equality.
 Homomorphisms are enumerated by sweeping generator images, each limited
 to the allowed elements whose order divides the generator's, and
 extending them along a spanning tree of the Cayley graph.  The plain
-sweep over all |H|^k images is kept as an oracle for cross-checks.
+sweep over all |H|^k images is kept as the tests' oracle for
+:func:`enumerate_homomorphisms`; the D(C,D) oracle of
+:func:`cayleydiff.cayley.diff_space` extends its candidates along the
+BFS words of :func:`_closure_words` instead.
 """
 
 from __future__ import annotations

@@ -21,13 +21,15 @@ DEFAULT_LIMITS = {
     "group_order": 1024,
     # generator-image assignments swept by homomorphism enumeration: the
     # product over generators of the allowed images whose order divides
-    # the generator's (in D(C,D) only images in N(e) are allowed)
+    # the generator's (in D(C,D) only images in N(e) are allowed, and its
+    # oracle sweeps all |N(e)|^|S| of them)
     "hom_candidates": 10**6,
     # total maps swept when enumerating continuous maps exhaustively
     "map_enumeration": 10**7,
     # vertices in a box or categorical product
     "product_vertices": 65536,
-    # |N(a)| * |map space| in the differential oracle
+    # |N(a)| * |map space| in the differential oracle, and |maps|^2 pair
+    # comparisons in the D(C,D) oracle of diff_space(cross_check=True)
     "oracle_work": 10**6,
     # bits per point in dense Boolean function tables
     "bool_table_dim": 20,

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import guards
-from .errors import DimMismatch, MalformedTable, NotContinuous, Record
+from .errors import DimMismatch, MalformedTable, NotContinuous, Record, set_field
 
 if TYPE_CHECKING:
     from .cayley import CayleyGraph
@@ -61,12 +61,18 @@ class FiniteMap(Record):
     values: tuple[int, ...]
 
     def _validate(self) -> None:
-        dom_size, cod_size, values = self.dom_size, self.cod_size, self.values
+        dom_size, cod_size = self.dom_size, self.cod_size
+        try:
+            values = tuple(map(operator.index, self.values))
+        except TypeError:
+            raise DimMismatch(f"map values {self.values!r:.60} are not all integers") from None
         if len(values) != dom_size:
             raise DimMismatch(f"map has {len(values)} values for domain size {dom_size}")
         for v in values:
             if not 0 <= v < cod_size:
                 raise DimMismatch(f"value {v} outside codomain 0..{cod_size - 1}")
+        # integer-like values (numpy scalars, say) are stored as plain ints
+        set_field(self, "values", values)
 
     @classmethod
     def _trusted(
@@ -293,11 +299,7 @@ class MapSpace(Record):
         mask = self._match_masks.get(key)
         if mask is None:
             column = map(operator.itemgetter(x), self._values_last_first)
-            try:
-                bits = bytes(map(operator.eq, column, itertools.repeat(value)))
-            except TypeError:  # == gave non-bool results, as numpy scalars do
-                column = map(operator.itemgetter(x), self._values_last_first)
-                bits = bytes(map(bool, map(operator.eq, column, itertools.repeat(value))))
+            bits = bytes(map(operator.eq, column, itertools.repeat(value)))
             # one "0"/"1" byte per map, last map first, read as a binary
             # number; the leading "0" covers a space with no maps
             mask = int(b"0" + bits.translate(_BIT_CHARS), 2)

@@ -419,18 +419,21 @@ def test_matrix_equation_inconsistent_near_origin():
 
 
 def test_matrix_equation_subset_of_differentials():
-    rng = random.Random(97)
-    for _ in range(40):
-        m, n = rng.randrange(1, 4), rng.randrange(1, 4)
-        table = tuple(
-            tuple(rng.randrange(2) for _ in range(n)) for _ in range(2**m)
-        )
-        f = BoolFunction(m, n, table)
-        b = rng.randrange(2**m)
-        solved = set(solve_matrix_equation(f, b))
-        diffs = set(boolean_differentials_at(f, b))
-        # exact agreement on the ball is stronger than the window rules
-        assert solved <= diffs
+    # every table and point of the small cubes: the solver gives exactly
+    # the continuous linear maps that agree with f on the ball, and exact
+    # agreement on the ball is stronger than the window rules
+    for m, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+        maps = continuous_linear_maps(m, n)
+        for table in itertools.product(itertools.product((0, 1), repeat=n), repeat=2**m):
+            f = BoolFunction(m, n, table)
+            for b in range(2**m):
+                near = neighborhood_indices(b, m)
+                want = tuple(
+                    mt for mt in maps
+                    if all(mt.apply_bits(index_point(x, m)) == table[x] for x in near)
+                )
+                assert solve_matrix_equation(f, b) == want
+                assert set(want) <= set(boolean_differentials_at(f, b))
 
 
 # --------------------------------------------------------------- existence

@@ -131,6 +131,29 @@ def test_diff_space_cross_check_sample():
             diff_space(dom, cod, cross_check=True)
 
 
+def test_cross_check_catches_a_dropped_map(monkeypatch):
+    import cayleydiff.cayley as cayley
+
+    c = cayley_graph(symmetric_group(3), GeneratingSet((1, 3)))
+    homs_along_tree = cayley._homs_along_tree
+    monkeypatch.setattr(
+        cayley, "_homs_along_tree", lambda *args: homs_along_tree(*args)[:-1]
+    )
+    assert len(diff_space(c, c).maps) == 2
+    with pytest.raises(CrossCheckMismatch, match="from the definition"):
+        diff_space(c, c, cross_check=True)
+
+
+def test_cross_check_catches_a_missing_bucket(monkeypatch):
+    import cayleydiff.cayley as cayley
+
+    c = cayley_graph(symmetric_group(3), GeneratingSet((1, 3)))
+    monkeypatch.setattr(cayley, "_order2_generators", lambda c: frozenset())
+    assert all(is_isolated(diff_space(c, c), i) for i in range(3))
+    with pytest.raises(CrossCheckMismatch, match="generic criterion"):
+        diff_space(c, c, cross_check=True)
+
+
 def test_diff_space_needs_a_generating_set():
     # a GeneratingSet is trusted as given; a non-generating one cannot
     # pin a homomorphism down by its generator images

@@ -430,6 +430,41 @@ def test_diff_rejects_tuple_point_outside_cubes(capsys):
     )
 
 
+Z2_IDENTITY = ["diff", "--dom", "z2^2", "--cod", "z2^2", "--fn", "builtin:identity"]
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        # the bitstring, the index and the tuple name the same point
+        (Z2_IDENTITY + ["--at", "11"], 3),
+        (Z2_IDENTITY + ["--at", "3"], 3),
+        (Z2_IDENTITY + ["--at", "(1,1)"], 3),
+        (Z2_IDENTITY + ["--at", "4"], "ValueError: point index 4 out of range"),
+        (Z2_IDENTITY + ["--at", "-1"], "ValueError: point index -1 out of range"),
+        (Z2_IDENTITY + ["--at", "1,1"], "ValueError: cannot parse point '1,1'"),
+        (["cayley", "--group", "s:3", "--gens", "1,9"], "ValueError: element index 9 out of range"),
+        (["cayley", "--group", "s:3", "--gens", "r,x"], "ValueError: unknown element 'x'"),
+        (["diff", "--dom", "cyclic:4", "--cod", "cyclic:4", "--fn", "builtin:square", "--at", "1"], 1),
+        (
+            ["diff", "--dom", "cyclic:4", "--cod", "cyclic:4", "--fn", "identity", "--at", "1"],
+            "ValueError: function source 'identity' needs a file:/poly:/builtin: prefix",
+        ),
+    ],
+)
+def test_point_generator_and_function_spellings(capsys, argv, expect):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    if isinstance(expect, str):
+        assert (code, out) == (1, "")
+        assert err == f"error: {expect}\n"
+        return
+    assert (code, err) == (0, "")
+    assert json.loads(out)["point"] == expect
+    if argv[: len(Z2_IDENTITY)] == Z2_IDENTITY:
+        assert out == run_ok(capsys, Z2_IDENTITY + ["--at", "3"])
+
+
 def test_diff_without_function_source_is_a_value_error():
     s3, _ = group_from_spec("s:3")
     with pytest.raises(ValueError, match="needs a function source"):

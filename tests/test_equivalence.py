@@ -1,7 +1,8 @@
 """Each fast path against the slow route it replaced, which is kept.
 
 - ``enumerate_homomorphisms`` against ``_enumerate_homomorphisms_sweep``
-- ``diff_space`` against its ``cross_check=True`` rebuild
+- ``diff_space`` against its ``cross_check=True`` rebuild, and both
+  against the full homomorphism sweep filtered by continuity
 - ``group_from_table`` against the full associativity sweep (kept here
   as ``_reference_group_from_table``)
 - ``differentials_at`` against ``differential_oracle`` and, on D(C,D),
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleydiff.cayley import cayley_graph, diff_space
+from cayleydiff.cayley import _diff_space_sweep, cayley_graph, diff_space
 from cayleydiff.differential import (
     DifferentialQuery,
     differential_oracle,
@@ -46,6 +47,7 @@ from cayleydiff.spaces import (
     MapSpace,
     ReflexiveDigraph,
     continuous_maps,
+    hom_neighbor,
     is_continuous,
     is_isolated,
     pentacle,
@@ -103,6 +105,51 @@ def test_diff_space_matches_its_cross_check(pair):
     checked = diff_space(dom, cod, cross_check=True)
     assert checked.maps == fast.maps
     assert checked.nbhd == fast.nbhd
+
+
+# (spec, generators), with None for the canonical ones
+ORACLE_GRAPHS = (
+    ("cyclic:1", None), ("cyclic:4", None), ("cyclic:6", None),
+    ("cyclic:6", (2, 3)), ("s:3", None), ("s:3", (3, 4)), ("z2^2", None),
+    ("z2^2", (1, 3)), ("z2^3", None), ("cyclic:2+cyclic:4", None),
+)
+ORACLE_PAIRS = [
+    (a, b) for a in ORACLE_GRAPHS for b in ORACLE_GRAPHS if sweep_size(a[0], b[0]) <= 5_000
+]
+
+
+@functools.lru_cache(maxsize=None)
+def graph_on(spec, gens):
+    group, canonical = build(spec)
+    return cayley_graph(group, canonical if gens is None else gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_PAIRS))
+def test_diff_space_oracle_matches_the_definition(pair):
+    # fast route = the cross-check's oracle = every homomorphism of the
+    # full sweep that is continuous, compared pairwise by hom_neighbor
+    dom, cod = graph_on(*pair[0]), graph_on(*pair[1])
+    fast = diff_space(dom, cod)
+    oracle = _diff_space_sweep(dom, cod)
+    maps = tuple(
+        f
+        for f in _enumerate_homomorphisms_sweep(dom.group, cod.group)
+        if is_continuous(dom.digraph, cod.digraph, f)
+    )
+    nbhd = tuple(
+        frozenset(
+            j for j, g in enumerate(maps) if hom_neighbor(dom.digraph, cod.digraph, g, f)
+        )
+        for f in maps
+    )
+    assert fast.maps == oracle.maps == maps
+    assert fast.nbhd == oracle.nbhd == nbhd
+
+
+def test_oracle_pairs_cover_non_default_generators():
+    assert (("cyclic:6", (2, 3)), ("z2^2", (1, 3))) in ORACLE_PAIRS
+    assert (("s:3", (3, 4)), ("s:3", None)) in ORACLE_PAIRS
 
 
 def test_pair_pools_reach_order_48():

@@ -82,8 +82,12 @@ def test_finite_map_validation():
         FiniteMap(2, 2, (0,))
     with pytest.raises(DimMismatch):
         FiniteMap(2, 2, (0, 2))
+    with pytest.raises(DimMismatch, match="integers"):
+        FiniteMap(2, 2, (0.0, 1.0))
     with pytest.raises(DimMismatch):
         FiniteMap.identity(3).compose(FiniteMap.identity(2))
+    # integer-like values are stored as plain ints
+    assert [type(v) for v in FiniteMap(2, 2, (True, 0)).values] == [int, int]
 
 
 def test_finite_map_validation_survives_python_O():
