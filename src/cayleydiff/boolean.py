@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 
+_BITS = frozenset((0, 1))
+
+
 class BoolFunction(Record):
     """Arbitrary function between hypercubes, stored as a dense table."""
 
@@ -79,6 +82,15 @@ class BoolFunction(Record):
         guards.check("bool_table_dim", m, "boolean function table")
         if len(table) != 2**m:
             raise DimMismatch(f"table of {len(table)} entries for a {m}-cube")
+        # C-level passes over lengths and bits; the row loop runs only on
+        # failure, to name the first bad row
+        try:
+            if set(map(len, table)) == {n} and _BITS.issuperset(
+                itertools.chain.from_iterable(table)
+            ):
+                return
+        except TypeError:
+            pass
         for out in table:
             if len(out) != n or any(b not in (0, 1) for b in out):
                 raise DimMismatch(f"output {out!r} is not a {n}-bit point")

@@ -181,10 +181,11 @@ def _diff_space_sweep(domain: CayleyGraph, codomain: CayleyGraph) -> MapSpace:
     Every assignment of the domain's Cayley generators S into
     N(e) = {e} union T is extended along BFS words over S and kept when
     phi(x*s) = phi(x)*phi(s) for every x and every s in S, which makes
-    it a homomorphism.  Neighborhoods come from
-    :meth:`MapSpace.from_continuous_maps`, which also checks each kept
-    map's global continuity and compares every pair of maps by the
-    generic criterion.
+    it a homomorphism.  The ``oracle_work`` guard on |maps|^2 is checked
+    as each map is kept, so a refused space is refused mid-sweep.
+    Neighborhoods come from :meth:`MapSpace.from_continuous_maps`, which
+    also checks each kept map's global continuity and compares every
+    pair of maps by the generic criterion.
     """
     g, h = domain.group, codomain.group
     gens = domain.gens.elements
@@ -201,8 +202,11 @@ def _diff_space_sweep(domain: CayleyGraph, codomain: CayleyGraph) -> MapSpace:
                 phi[x] = th[phi[x]][image_of[s]]
         if all(phi[tg[x][s]] == th[phi[x]][image_of[s]] for x in range(g.order) for s in gens):
             maps.append(FiniteMap(g.order, h.order, tuple(phi)))
+            # refuse as soon as the pair comparison is known to be too large
+            guards.check(
+                "oracle_work", len(maps) ** 2, "D(C,D) oracle pair comparison of the maps kept so far"
+            )
     maps.sort(key=lambda f: f.values)
-    guards.check("oracle_work", len(maps) ** 2, "D(C,D) oracle pair comparison")
     try:
         return MapSpace.from_continuous_maps(domain.digraph, codomain.digraph, maps)
     except NotContinuous as exc:

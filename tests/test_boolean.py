@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from cayleydiff.cayley import hypercube
 from cayleydiff.errors import (
     CrossCheckMismatch,
     DimMismatch,
+    Error,
     MalformedTable,
     NotContinuous,
     NotDifferentiable,
@@ -94,6 +96,13 @@ def test_parser_errors():
         BoolFunction.from_source("p&q")
     with pytest.raises(MalformedTable):
         BoolFunction.from_source("(p+q")
+    # positions count the spaces of the original text
+    with pytest.raises(MalformedTable, match="unexpected character '&' at position 4"):
+        BoolFunction.from_source("p + &")
+    with pytest.raises(MalformedTable, match="missing '\\)' at position 8"):
+        BoolFunction.from_source("p (q + r")
+    with pytest.raises(MalformedTable, match="trailing input at position 4: '\\) q'"):
+        BoolFunction.from_source("p q ) q")
     with pytest.raises(DimMismatch):
         BoolFunction.from_source("1")  # constant needs an explicit m
     with pytest.raises(DimMismatch):
@@ -103,14 +112,67 @@ def test_parser_errors():
 
 
 def test_table_guard_refuses_before_any_point_is_evaluated(monkeypatch):
-    def sentinel(node, bits):
+    def sentinel(node, masks, ones):
         raise RuntimeError("a point was evaluated")
 
-    monkeypatch.setattr(anf, "_eval", sentinel)
+    monkeypatch.setattr(anf, "_eval_mask", sentinel)
     with pytest.raises(RuntimeError):
         BoolFunction.from_source("p", m=1)
     with pytest.raises(SizeGuardExceeded, match="bool_table_dim=20"):
         BoolFunction.from_source("p", m=21)
+
+
+def _random_expression(rng, m, depth=0):
+    """A random polynomial over the first m variables, spelt with spaces,
+    ``*``, juxtaposition, nested parentheses and the constants."""
+    pick = rng.randrange(5 if depth < 3 else 2)
+    if pick == 0 and m:
+        return anf._VARS[rng.randrange(m)]
+    if pick <= 1:
+        return rng.choice("01")
+    if pick == 2:
+        return "(" + _random_expression(rng, m, depth + 1) + ")"
+    parts = [_random_expression(rng, m, depth + 1) for _ in range(rng.randrange(2, 4))]
+    if pick == 3:
+        return rng.choice(("+", " + ", "+ ")).join(parts)
+    # a sum as a factor needs its parentheses
+    parts = [f"({p})" if "+" in p and not p.startswith("(") else p for p in parts]
+    return "".join(rng.choice(("", "*", " ", " * ")) + p for p in parts).lstrip(" *")
+
+
+def _both_routes(source, m):
+    """The outcome of the bit-sliced and the per-point tabulation: the
+    table, or the type of the error raised."""
+    out = []
+    for route in (anf.tabulate, anf._tabulate_by_points):
+        try:
+            out.append(route(source, m))
+        except Error as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_tabulate_matches_per_point_route():
+    rng = random.Random(25)
+    for _ in range(400):
+        m = rng.randrange(9)
+        parts = [_random_expression(rng, m) for _ in range(rng.randrange(1, 6))]
+        source = parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
+        fast, slow = _both_routes(source, m)
+        assert fast == slow, source
+        assert fast[0] == m and len(fast[1]) == 2**m
+        assert all(type(b) is int for row in fast[1] for b in row)
+        # the bit count inferred from the variables used
+        if any(ch in anf._VARS for ch in source):
+            fast, slow = _both_routes(source, None)
+            assert fast == slow, source
+        # malformed sources: one character inserted, dropped or replaced
+        chars = list(source)
+        for _ in range(3):
+            i = rng.randrange(len(chars) + 1)
+            bad = chars[:i] + [rng.choice("()+*&,z1 ")] + chars[i + rng.randrange(2) :]
+            fast, slow = _both_routes("".join(bad), m)
+            assert fast == slow, "".join(bad)
 
 
 def test_explicit_constant():
@@ -674,6 +736,14 @@ def test_function_conversions():
     with pytest.raises(DimMismatch):
         BoolFunction.from_finite_map(fm, 3, 3)
     assert f.value(3) == f.value((1, 1)) == (1, 0, 1)
+    # a bad table is refused, naming its first bad row
+    for table, first in (
+        (((0, 1), (1,), (1, 2), (1, 1)), "(1,)"),
+        (((0, 1), (0, 0), (1, 2), (1,)), "(1, 2)"),
+        (((0, 1), (2.0, 0), (1, 2), (1, 1)), "(2.0, 0)"),
+    ):
+        with pytest.raises(DimMismatch, match=re.escape(f"output {first} is not a 2-bit point")):
+            BoolFunction(2, 2, table)
 
 
 def test_pointwise_product_table():

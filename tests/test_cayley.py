@@ -14,6 +14,7 @@ from cayleydiff.errors import (
     DimMismatch,
     NotGenerating,
     Redundant,
+    SizeGuardExceeded,
 )
 from cayleydiff.groups import (
     GeneratingSet,
@@ -152,6 +153,17 @@ def test_cross_check_catches_a_missing_bucket(monkeypatch):
     assert all(is_isolated(diff_space(c, c), i) for i in range(3))
     with pytest.raises(CrossCheckMismatch, match="generic criterion"):
         diff_space(c, c, cross_check=True)
+
+
+def test_oracle_refuses_during_its_sweep(monkeypatch):
+    # D(B2, B2) has 9 maps; with 15 pair comparisons allowed the oracle
+    # stops at the 4th kept map instead of comparing all 81 pairs
+    cube = cayley_graph(z2_power_group(2), GeneratingSet((1, 2)))
+    assert len(diff_space(cube, cube, cross_check=True).maps) == 9
+    monkeypatch.setenv("CAYLEYDIFF_MAX_ORACLE_WORK", "15")
+    assert len(diff_space(cube, cube).maps) == 9
+    with pytest.raises(SizeGuardExceeded, match="kept so far needs 16,"):
+        diff_space(cube, cube, cross_check=True)
 
 
 def test_diff_space_needs_a_generating_set():
