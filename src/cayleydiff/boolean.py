@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import anf, gf2, guards
 from .anf import matrix_anf, row_anf
-from .errors import (
-    CrossCheckMismatch,
-    DimMismatch,
-    NotContinuous,
-    NotDifferentiable,
-    Record,
-)
+from .errors import CrossCheckMismatch, DimMismatch, NotDifferentiable, Record, set_field
 from .gf2 import BoolPoint, GF2Matrix, index_point, neighborhood_indices, point_index
 
 if TYPE_CHECKING:
@@ -52,7 +46,6 @@ __all__ = [
     "BoolFunction",
     "is_continuous_linear",
     "continuous_linear_maps",
-    "linear_neighbors",
     "linear_map_space",
     "boolean_differentials_at",
     "is_differentiable_at",
@@ -82,18 +75,22 @@ class BoolFunction(Record):
         guards.check("bool_table_dim", m, "boolean function table")
         if len(table) != 2**m:
             raise DimMismatch(f"table of {len(table)} entries for a {m}-cube")
-        # C-level passes over lengths and bits; the row loop runs only on
-        # failure, to name the first bad row
+        # one C-level hashing pass finds the distinct rows, which are few,
+        # and an unhashable row such as a list fails it; the row loop runs
+        # only on failure, to name the first bad row or store rows as tuples
         try:
-            if set(map(len, table)) == {n} and _BITS.issuperset(
-                itertools.chain.from_iterable(table)
-            ):
-                return
+            if type(table) is tuple:
+                rows = {*table}
+                if {*map(tuple.__len__, rows)} == {n} and _BITS.issuperset(
+                    itertools.chain.from_iterable(rows)
+                ):
+                    return
         except TypeError:
             pass
         for out in table:
-            if len(out) != n or any(b not in (0, 1) for b in out):
+            if not hasattr(out, "__len__") or len(out) != n or any(b not in (0, 1) for b in out):
                 raise DimMismatch(f"output {out!r} is not a {n}-bit point")
+        set_field(self, "table", tuple(map(tuple, table)))
 
     @classmethod
     def from_source(cls, source: str, m: int | None = None) -> "BoolFunction":
@@ -165,33 +162,6 @@ def _neighbor_criterion(a: GF2Matrix, b: GF2Matrix) -> bool:
     distinct maps are neighbors when all nonzero columns of the two
     matrices are one and the same vector."""
     return len(a.distinct_nonzero_columns() | b.distinct_nonzero_columns()) <= 1
-
-
-def linear_neighbors(matrix: GF2Matrix) -> tuple[GF2Matrix, ...]:
-    """All continuous linear neighbors of a continuous linear map."""
-    if not is_continuous_linear(matrix):
-        raise NotContinuous("matrix has a column of weight > 1")
-    m, n = matrix.cols, matrix.rows
-    nz = matrix.distinct_nonzero_columns()
-    if len(nz) >= 2:
-        return (matrix,)
-    guards.check("bool_candidates", (n + 1) * 2**m, "linear neighbor enumeration")
-    out = []
-    if len(nz) == 1:
-        c = next(iter(nz))
-        zero_col = tuple([0] * n)
-        for cols in itertools.product((zero_col, c), repeat=m):
-            out.append(GF2Matrix.from_columns(n, cols))
-    else:
-        out.append(GF2Matrix.zero(n, m))
-        zero_col = tuple([0] * n)
-        for k in range(n):
-            c = tuple(1 if i == k else 0 for i in range(n))
-            for cols in itertools.product((zero_col, c), repeat=m):
-                mt = GF2Matrix.from_columns(n, cols)
-                if not mt.is_zero():
-                    out.append(mt)
-    return tuple(sorted(out, key=lambda mt: mt.bits))
 
 
 def linear_map_space(m: int, n: int) -> tuple[tuple[GF2Matrix, ...], MapSpace]:

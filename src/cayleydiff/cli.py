@@ -152,42 +152,30 @@ def _bits_of(token: str) -> tuple[int, ...] | None:
     return None
 
 
-def _resolve_point(token: str, group: FiniteGroup, dim: int | None) -> int:
-    """``dim`` is ``_z2_dim(group)``."""
+def _resolve_point(
+    token: str, order: int, dim: int | None, names: Sequence[str] | None
+) -> int:
+    """The index of a point of a carrier with ``order`` elements, given
+    as an element name, an index, or, when the carrier is the
+    ``dim``-cube (``dim`` is ``_z2_dim`` of a group), a bit tuple or
+    bit string."""
     from .gf2 import point_index
 
     bits = _bits_of(token)
     if bits is not None:
         if dim is None or len(bits) != dim:
-            raise ValueError(f"point tuple {token!r} does not fit the domain group")
+            raise ValueError(f"point tuple {token!r} does not fit the domain")
         return point_index(bits)
     tok = token.strip()
-    if group.names is not None and tok in group.names:
-        return group.names.index(tok)
+    if names is not None and tok in names:
+        return names.index(tok)
     if dim is not None and len(tok) == dim and set(tok) <= {"0", "1"}:
         return point_index(tuple(int(c) for c in tok))
     if tok.lstrip("-").isdigit():
         idx = int(tok)
-        if not 0 <= idx < group.order:
+        if not 0 <= idx < order:
             raise ValueError(f"point index {idx} out of range")
         return idx
-    raise ValueError(f"cannot parse point {token!r}")
-
-
-def _resolve_bool_point(token: str, m: int) -> tuple[int, ...]:
-    bits = _bits_of(token)
-    if bits is not None:
-        if len(bits) != m:
-            raise ValueError(f"point tuple {token!r} needs {m} coordinates")
-        return bits
-    tok = token.strip()
-    if len(tok) == m and set(tok) <= {"0", "1"}:
-        return tuple(int(c) for c in tok)
-    if tok.isdigit():
-        idx = int(tok)
-        if not 0 <= idx < 2**m:
-            raise ValueError(f"point index {idx} out of range")
-        return tuple((idx >> (m - 1 - k)) & 1 for k in range(m))
     raise ValueError(f"cannot parse point {token!r}")
 
 
@@ -417,7 +405,7 @@ def _cmd_diff(ns) -> int:
     cod = _build_cayley(ns.cod, ns.cod_gens)
     m, n = _z2_dim(dom.group), _z2_dim(cod.group)
     f = _load_function(ns.fn, ns.f, dom.group, cod.group, (m, n))
-    a = _resolve_point(ns.at, dom.group, m)
+    a = _resolve_point(ns.at, dom.group.order, m, dom.group.names)
     space = diff_space(dom, cod, cross_check=ns.oracle)
     query = DifferentialQuery(space, f, a)
     found = differentials_at(query)
@@ -447,7 +435,7 @@ def _cmd_diff(ns) -> int:
 
 def _cmd_bool_diff(ns) -> int:
     from .anf import _VARS as names, matrix_anf
-    from .boolean import BoolFunction, boolean_differentials_at
+    from .boolean import BoolFunction, boolean_differentials_at, index_point
 
     if ns.m > len(names):
         raise DimMismatch(
@@ -457,14 +445,14 @@ def _cmd_bool_diff(ns) -> int:
     f = BoolFunction.from_source(ns.f, m=ns.m)
     if ns.n is not None and f.n != ns.n:
         raise ValueError(f"polynomial has {f.n} components, --n says {ns.n}")
-    b = _resolve_bool_point(ns.at, ns.m)
+    b = _resolve_point(ns.at, 2**ns.m, ns.m, None)
     diffs = boolean_differentials_at(f, b, cross_check=ns.oracle)
     if ns.json:
         _print_json(
             {
                 "m": f.m,
                 "n": f.n,
-                "point": list(b),
+                "point": list(index_point(b, f.m)),
                 "count": len(diffs),
                 "differentials": [
                     {"rows": [list(r) for r in mt.bits], "anf": matrix_anf(mt)}

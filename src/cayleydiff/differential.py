@@ -217,7 +217,7 @@ def t1_forces_value_check(q: DifferentialQuery) -> bool:
     """On a T1 codomain every differential takes the value f(a) at a."""
     props = space_properties(q.space.codomain)
     if not props.is_T1:
-        raise ValueError("codomain is not T1; the check does not apply")
+        raise HypothesisViolated("codomain is not T1; the check does not apply")
     target = q.f.values[q.a]
     return all(
         q.space.maps[i].values[q.a] == target for i in differentials_at(q)

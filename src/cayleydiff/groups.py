@@ -1,14 +1,16 @@
 """Finite groups as validated multiplication tables.
 
-Elements are indices ``0..order-1`` with the identity always at index 0;
-``table[a][b]`` is the product a*b.  Tables from files, JSON or user code
-go through ``group_from_table``, which checks the group axioms
-(associativity by Light's test over a generating set) and relabels the
-identity to 0 if needed; the named constructors build groups by
-construction and skip it.  Tables hold at most a few thousand entries
-per row, so all of it is plain Python over row tuples: whole rows are
-compared and permuted with ``==`` and ``operator.itemgetter``, which run
-in C.  Optional names are display-only and never affect equality.
+Elements are indices ``0..order-1``; ``table[a][b]`` is the product a*b.
+The identity is always 0, a class constant of :class:`FiniteGroup` and
+not a field, so equality and hashing compare ``order`` and ``table``.
+Tables from files, JSON or user code go through ``group_from_table``,
+which checks the group axioms (associativity by Light's test over a
+generating set) and relabels the identity to 0 if needed; the named
+constructors build groups by construction and skip it.  Tables hold at
+most a few thousand entries per row, so all of it is plain Python over
+row tuples: whole rows are compared and permuted with ``==`` and
+``operator.itemgetter``, which run in C.  Optional names are
+display-only and never affect equality.
 
 Homomorphisms are enumerated by sweeping generator images, each limited
 to the allowed elements whose order divides the generator's, and
@@ -59,18 +61,18 @@ __all__ = [
 
 
 class FiniteGroup(Record):
-    """Immutable multiplication table; identity at index 0.
+    """Immutable multiplication table; the identity is the constant 0.
 
     :func:`group_from_table` validates the axioms; the named constructors
     and direct construction do not.  ``names`` are display-only: equality
-    and hashing ignore them.
+    and hashing compare ``order`` and ``table``.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int = 0
     names: tuple[str, ...] | None = None
-    _compared = ("order", "table", "identity")
+    _compared = ("order", "table")
+    identity = 0  # a class constant, not a field
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

@@ -181,14 +181,10 @@ def is_continuous_at(
 
 
 def is_continuous(dom: ReflexiveDigraph, cod: ReflexiveDigraph, f: FiniteMap) -> bool:
+    """f lies in its own neighborhood of the map space: f(u) is a
+    neighbor of f(v) whenever u is a neighbor of v."""
     _check_map_dims(dom, cod, f)
-    vals = f.values
-    for v, nv in enumerate(dom.nbhd):
-        target = cod.nbhd[vals[v]]
-        for u in nv:
-            if vals[u] not in target:
-                return False
-    return True
+    return _hom_neighbor_criterion(dom, cod, f, f)
 
 
 def _check_map_dims(dom: ReflexiveDigraph, cod: ReflexiveDigraph, f: FiniteMap) -> None:
@@ -219,10 +215,11 @@ def _hom_neighbor_criterion(
 ) -> bool:
     """:func:`hom_neighbor` for callers that already know both maps are
     continuous; it checks neither."""
+    f_vals, g_vals = f.values, g.values
     for b, nb in enumerate(dom.nbhd):
-        target = cod.nbhd[g.values[b]]
+        target = cod.nbhd[g_vals[b]]
         for a in nb:
-            if f.values[a] not in target:
+            if f_vals[a] not in target:
                 return False
     return True
 

@@ -18,7 +18,6 @@ from cayleydiff.boolean import (
     is_differentiable_at,
     leibniz_probe,
     linear_map_space,
-    linear_neighbors,
     matrix_anf,
     neighborhood_indices,
     point_index,
@@ -32,7 +31,6 @@ from cayleydiff.errors import (
     DimMismatch,
     Error,
     MalformedTable,
-    NotContinuous,
     NotDifferentiable,
     SizeGuardExceeded,
 )
@@ -305,35 +303,23 @@ def test_column_rule_matches_digraph_continuity():
         assert is_continuous_linear(mt) == direct
 
 
+def _map_space_neighbors(matrix):
+    matrices, space = linear_map_space(matrix.cols, matrix.rows)
+    return {matrices[j] for j in space.nbhd[matrices.index(matrix)]}
+
+
 def test_zero_matrix_has_seven_neighbors():
     zero = GF2Matrix.zero(2, 2)
-    nbrs = linear_neighbors(zero)
+    nbrs = _map_space_neighbors(zero)
     assert len(nbrs) == 7
     assert zero in nbrs
     # every neighbor repeats a single nonzero column or is zero
     assert all(len(mt.distinct_nonzero_columns()) <= 1 for mt in nbrs)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3), (3, 2)])
-def test_neighbors_match_pair_criterion(m, n):
-    from cayleydiff.boolean import _neighbor_criterion
-
-    maps = continuous_linear_maps(m, n)
-    for mt in maps:
-        via_filter = tuple(
-            sorted(
-                (o for o in maps if o == mt or _neighbor_criterion(mt, o)),
-                key=lambda x: x.bits,
-            )
-        )
-        assert linear_neighbors(mt) == via_filter
-
-
 def test_isolated_matrix_is_its_own_neighborhood():
     mt = GF2Matrix(2, 2, ((1, 0), (0, 1)))
-    assert linear_neighbors(mt) == (mt,)
-    with pytest.raises(NotContinuous):
-        linear_neighbors(GF2Matrix(2, 1, ((1,), (1,))))
+    assert _map_space_neighbors(mt) == {mt}
 
 
 def test_linear_map_space_is_reflexive():
@@ -744,6 +730,12 @@ def test_function_conversions():
     ):
         with pytest.raises(DimMismatch, match=re.escape(f"output {first} is not a 2-bit point")):
             BoolFunction(2, 2, table)
+    # rows without a length are refused too, and rows given as lists are
+    # stored as tuples
+    with pytest.raises(DimMismatch, match=re.escape("output 1 is not a 1-bit point")):
+        BoolFunction(1, 1, ((0,), 1))
+    g = BoolFunction(1, 1, ((0,), [1]))
+    assert type(g.value(1)) is tuple and g.table == ((0,), (1,))
 
 
 def test_pointwise_product_table():

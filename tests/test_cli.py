@@ -431,6 +431,7 @@ def test_diff_rejects_tuple_point_outside_cubes(capsys):
 
 
 Z2_IDENTITY = ["diff", "--dom", "z2^2", "--cod", "z2^2", "--fn", "builtin:identity"]
+BOOL_IDENTITY = ["bool", "diff", "--m", "2", "--f", "(p,q)", "--json"]
 
 
 @pytest.mark.parametrize(
@@ -450,6 +451,16 @@ Z2_IDENTITY = ["diff", "--dom", "z2^2", "--cod", "z2^2", "--fn", "builtin:identi
             ["diff", "--dom", "cyclic:4", "--cod", "cyclic:4", "--fn", "identity", "--at", "1"],
             "ValueError: function source 'identity' needs a file:/poly:/builtin: prefix",
         ),
+        # bool diff parses its point as diff does, on the m-cube
+        (BOOL_IDENTITY + ["--at", "10"], [1, 0]),
+        (BOOL_IDENTITY + ["--at", "2"], [1, 0]),
+        (BOOL_IDENTITY + ["--at", "(1,0)"], [1, 0]),
+        (BOOL_IDENTITY + ["--at", "4"], "ValueError: point index 4 out of range"),
+        (BOOL_IDENTITY + ["--at", "-1"], "ValueError: point index -1 out of range"),
+        (
+            BOOL_IDENTITY + ["--at", "(1,0,1)"],
+            "ValueError: point tuple '(1,0,1)' does not fit the domain",
+        ),
     ],
 )
 def test_point_generator_and_function_spellings(capsys, argv, expect):
@@ -461,8 +472,9 @@ def test_point_generator_and_function_spellings(capsys, argv, expect):
         return
     assert (code, err) == (0, "")
     assert json.loads(out)["point"] == expect
-    if argv[: len(Z2_IDENTITY)] == Z2_IDENTITY:
-        assert out == run_ok(capsys, Z2_IDENTITY + ["--at", "3"])
+    for prefix, at in ((Z2_IDENTITY, "3"), (BOOL_IDENTITY, "2")):
+        if argv[: len(prefix)] == prefix:
+            assert out == run_ok(capsys, prefix + ["--at", at])
 
 
 def test_diff_without_function_source_is_a_value_error():

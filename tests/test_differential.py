@@ -160,7 +160,7 @@ def test_theorem_route_needs_cayley_structure():
 
 def test_t1_check_rejects_non_t1_codomain(s3_to_s3):
     q = DifferentialQuery(s3_to_s3, FiniteMap.identity(6), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated, match="codomain is not T1"):
         t1_forces_value_check(q)
 
 

@@ -7,6 +7,9 @@
   as ``_reference_group_from_table``)
 - ``differentials_at`` against ``differential_oracle`` and, on D(C,D),
   ``differentials_by_theorem``
+
+and, as the ground for exhaustive checks over local functions, that
+every classification route reads f only near the point.
 """
 
 import functools
@@ -19,6 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleydiff.boolean import (
+    BoolFunction,
+    boolean_differentials_at,
+    is_differentiable_at,
+    solve_matrix_equation,
+)
 from cayleydiff.cayley import _diff_space_sweep, cayley_graph, diff_space
 from cayleydiff.differential import (
     DifferentialQuery,
@@ -42,6 +51,7 @@ from cayleydiff.errors import (
     NotAssociative,
     SizeGuardExceeded,
 )
+from cayleydiff.gf2 import index_point, neighborhood_indices
 from cayleydiff.spaces import (
     FiniteMap,
     MapSpace,
@@ -364,3 +374,74 @@ def test_differentials_at_matches_oracle_on_generic_spaces(dom, cod, rng):
     space = MapSpace.from_continuous_maps(dom, cod, maps)
     for _ in range(3):
         _check_every_point(space, _random_function(space, rng))
+
+
+# ------------------------------------------------------------- locality
+
+# The first locality lemma: every route reads f only near the point, on
+# N(a) for the Cayley routes and on the Hamming ball of b for the Boolean
+# ones, so drawing f again everywhere else changes no route's answer.
+
+LOCALITY_PAIRS = (
+    (("s:3", None), ("s:3", None)),
+    (("z2^2", None), ("cyclic:4", None)),
+    (("cyclic:6", (2, 3)), ("z2^2", None)),
+)
+
+
+def _redrawn_off(values, keep, k, rng):
+    """``values`` with every entry at an index outside ``keep`` drawn
+    again from ``range(k)``."""
+    return tuple(v if x in keep else rng.randrange(k) for x, v in enumerate(values))
+
+
+@pytest.mark.parametrize(
+    "pair", LOCALITY_PAIRS, ids=lambda p: f"{p[0][0]}{p[0][1] or ''}->{p[1][0]}"
+)
+def test_cayley_routes_read_f_only_near_the_point(pair):
+    rng = random.Random(str(pair))
+    space = diff_space(graph_on(*pair[0]), graph_on(*pair[1]))
+    n, k = space.domain.size, space.codomain.size
+    for a in range(n):
+        for _ in range(6):
+            f = _random_function(space, rng)
+            g = FiniteMap(n, k, _redrawn_off(f.values, space.domain.nbhd[a], k, rng))
+            for route in (differentials_at, differentials_by_theorem, differential_oracle):
+                got = route(DifferentialQuery(space, g, a))
+                assert got == route(DifferentialQuery(space, f, a)), (route, f, g, a)
+
+
+def _random_bool_values(m, n, rng):
+    """Point indices of a random f from the m-cube to the n-cube: uniform,
+    of weight <= 1, or a continuous linear map with a few values changed,
+    so that every shape of the classification is reached."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return [rng.randrange(2**n) for _ in range(2**m)]
+    if shape == 1:
+        return [rng.choice([0] + [1 << i for i in range(n)]) for _ in range(2**m)]
+    # column j is zero or a unit vector; input bit j is index bit m - 1 - j
+    cols = [rng.choice([0] + [1 << i for i in range(n)]) for _ in range(m)]
+    values = [
+        functools.reduce(operator.xor, (c for j, c in enumerate(cols) if x >> (m - 1 - j) & 1), 0)
+        for x in range(2**m)
+    ]
+    for x in rng.sample(range(2**m), rng.randrange(3)):
+        values[x] = rng.randrange(2**n)
+    return values
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_boolean_routes_read_f_only_on_the_ball(m):
+    rng = random.Random(m)
+    for n in range(1, 4):
+        for b in range(2**m):
+            ball = set(neighborhood_indices(b, m))
+            for _ in range(4):
+                values = _random_bool_values(m, n, rng)
+                f, g = (
+                    BoolFunction(m, n, tuple(index_point(v, n) for v in vals))
+                    for vals in (values, _redrawn_off(values, ball, 2**n, rng))
+                )
+                for route in (boolean_differentials_at, is_differentiable_at, solve_matrix_equation):
+                    assert route(g, b) == route(f, b), (route, f, g, b)

@@ -39,7 +39,7 @@ def edge():
 
 
 def z2():
-    return FiniteGroup(2, ((0, 1), (1, 0)), 0, ("e", "a"))
+    return FiniteGroup(2, ((0, 1), (1, 0)), ("e", "a"))
 
 
 def point_space():
@@ -102,10 +102,10 @@ RECORDS = {
         None,
     ),
     FiniteGroup: (
-        lambda: {"order": 2, "table": ((0, 1), (1, 0)), "identity": 0, "names": ("e", "a")},
-        {"identity": 0, "names": None},
+        lambda: {"order": 2, "table": ((0, 1), (1, 0)), "names": ("e", "a")},
+        {"names": None},
         {"names": ("x", "y")},
-        "FiniteGroup(order=2, table=((0, 1), (1, 0)), identity=0, names=('e', 'a'))",
+        "FiniteGroup(order=2, table=((0, 1), (1, 0)), names=('e', 'a'))",
         None,
     ),
     GeneratingSet: (
@@ -119,7 +119,7 @@ RECORDS = {
         lambda: {"group": z2(), "gens": GeneratingSet((1,)), "digraph": edge()},
         {},
         {},
-        "CayleyGraph(group=FiniteGroup(order=2, table=((0, 1), (1, 0)), identity=0, "
+        "CayleyGraph(group=FiniteGroup(order=2, table=((0, 1), (1, 0)), "
         "names=('e', 'a')), gens=GeneratingSet(elements=(1,)), "
         "digraph=ReflexiveDigraph(nbhd=(frozenset({0, 1}), frozenset({0, 1}))))",
         ("CayleyGraph(z2(), GeneratingSet((1,)), point())", "DimMismatch"),
@@ -302,3 +302,14 @@ def test_record_behaves_as_a_frozen_dataclass(cls, errors_under_O):
         with pytest.raises(errors[error]):
             eval(source)
         assert errors_under_O[cls.__name__] == error
+
+
+def test_finite_group_identity_is_the_constant_zero():
+    g = z2()
+    assert g.identity == FiniteGroup.identity == 0
+    assert FiniteGroup.__match_args__ == ("order", "table", "names")
+    # the identity is no field: it can be neither passed nor assigned
+    with pytest.raises(TypeError):
+        FiniteGroup(2, ((0, 1), (1, 0)), identity=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.identity = 1
