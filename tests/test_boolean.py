@@ -317,6 +317,18 @@ def test_zero_matrix_has_seven_neighbors():
     assert all(len(mt.distinct_nonzero_columns()) <= 1 for mt in nbrs)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_neighbors_match_pair_criterion(m, n):
+    from cayleydiff.boolean import _neighbor_criterion
+
+    maps = continuous_linear_maps(m, n)
+    for mt in maps:
+        via_filter = {o for o in maps if o == mt or _neighbor_criterion(mt, o)}
+        assert _map_space_neighbors(mt) == via_filter
+        # the pair rule is symmetric, so each neighborhood is too
+        assert all(mt in _map_space_neighbors(o) for o in via_filter)
+
+
 def test_isolated_matrix_is_its_own_neighborhood():
     mt = GF2Matrix(2, 2, ((1, 0), (0, 1)))
     assert _map_space_neighbors(mt) == {mt}
