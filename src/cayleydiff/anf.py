@@ -4,7 +4,8 @@ Syntax: ``+`` is XOR, juxtaposition or ``*`` is AND, constants are
 ``0`` and ``1``, variables are the single letters ``p`` through ``z``
 ranked alphabetically (p is variable 1 and the most significant bit of
 a point index).  A vector-valued function is a parenthesized
-comma-separated tuple of expressions, e.g. ``(p,(1+p)(1+q),q)``.
+comma-separated tuple of expressions that spans the whole source, e.g.
+``(p,(1+p)(1+q),q)``; one parser reads both kinds of source.
 :func:`row_anf` and :func:`matrix_anf` render linear maps back into
 this notation.
 
@@ -26,8 +27,6 @@ if TYPE_CHECKING:
     from .gf2 import GF2Matrix
 
 __all__ = [
-    "split_components",
-    "parse_expression",
     "tabulate",
     "row_anf",
     "matrix_anf",
@@ -41,7 +40,9 @@ class _Parser:
     """Recursive descent over the non-space characters of ``text``.
 
     The characters are tokenised once, with ``None`` as the end marker;
-    error messages give positions in the original text.
+    error messages give positions in the original text.  A parenthesized
+    comma list of two or more expressions is a tuple, legal only as the
+    whole source.
     """
 
     def __init__(self, text: str):
@@ -55,12 +56,14 @@ class _Parser:
         at = [j for j, ch in enumerate(self.text) if not ch.isspace()]
         return (at + [len(self.text)])[self.i]
 
-    def parse(self):
+    def parse(self) -> list:
+        """The component ASTs: one for a scalar source, one per item of a
+        tuple."""
         node = self.expr()
         if self.chars[self.i] is not None:
             pos = self.pos
             raise MalformedTable(f"trailing input at position {pos}: {self.text[pos:]!r}")
-        return node
+        return node[1] if node[0] == "tuple" else [node]
 
     def expr(self):
         terms = [self.term()]
@@ -85,12 +88,20 @@ class _Parser:
     def factor(self):
         ch = self.chars[self.i]
         if ch == "(":
+            start = self.i
             self.i += 1
-            node = self.expr()
+            items = [self.expr()]
+            while self.chars[self.i] == ",":
+                self.i += 1
+                items.append(self.expr())
             if self.chars[self.i] != ")":
                 raise MalformedTable(f"missing ')' at position {self.pos}")
             self.i += 1
-            return node
+            if len(items) == 1:
+                return items[0]
+            if start or self.chars[self.i] is not None:
+                raise MalformedTable(f"a tuple must be the whole source: {self.text.strip()!r}")
+            return ("tuple", items)
         if ch == "0" or ch == "1":
             self.i += 1
             return ("const", int(ch))
@@ -98,11 +109,6 @@ class _Parser:
             self.i += 1
             return ("var", _VARS.index(ch))
         raise MalformedTable(f"unexpected character {ch!r} at position {self.pos}")
-
-
-def parse_expression(text: str):
-    """Parse one scalar expression into an AST."""
-    return _Parser(text).parse()
 
 
 def _eval(node, bits: tuple[int, ...]) -> int:
@@ -131,45 +137,10 @@ def _eval(node, bits: tuple[int, ...]) -> int:
     return acc
 
 
-def split_components(source: str) -> list[str]:
-    """Split a tuple source into component expressions.
-
-    ``(a, b, c)`` splits on its top-level commas; anything else is a
-    single component.
-    """
-    s = source.strip()
-    if not s.startswith("("):
-        return [s]
-    depth = 0
-    cuts = []
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and i != len(s) - 1:
-                return [s]  # the leading paren is a grouping paren
-            if depth < 0:
-                raise MalformedTable("unbalanced parentheses")
-        elif ch == "," and depth == 1:
-            cuts.append(i)
-    if depth != 0:
-        raise MalformedTable("unbalanced parentheses")
-    if not cuts:
-        return [s]
-    parts = []
-    prev = 0
-    for cut in cuts:
-        parts.append(s[prev + 1 : cut])
-        prev = cut
-    parts.append(s[prev + 1 : -1])
-    return [p.strip() for p in parts]
-
-
 def _components(source: str, m: int | None) -> tuple[int, list]:
     """Parse ``source`` into component ASTs and settle the bit count m,
     checking the ``bool_table_dim`` guard on it."""
-    components = [parse_expression(c) for c in split_components(source)]
+    components = _Parser(source).parse()
     # every letter of a parsed source is a variable (find gives -1 elsewhere)
     needed = max(map(_VARS.find, source), default=-1) + 1
     if m is None:

@@ -27,6 +27,7 @@ itself is :func:`cayleydiff.cayley.hypercube`.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Sequence
 
 from . import anf, gf2, guards
@@ -60,9 +61,6 @@ __all__ = [
 ]
 
 
-_BITS = frozenset((0, 1))
-
-
 class BoolFunction(Record):
     """Arbitrary function between hypercubes, stored as a dense table."""
 
@@ -75,27 +73,21 @@ class BoolFunction(Record):
         guards.check("bool_table_dim", m, "boolean function table")
         if len(table) != 2**m:
             raise DimMismatch(f"table of {len(table)} entries for a {m}-cube")
-        # one C-level hashing pass finds the distinct rows, which are few,
-        # and an unhashable row such as a list fails it; the row loop runs
-        # only on failure, to name the first bad row or store rows as tuples
-        try:
-            if type(table) is tuple:
-                rows = {*table}
-                if {*map(tuple.__len__, rows)} == {n} and _BITS.issuperset(
-                    itertools.chain.from_iterable(rows)
-                ):
-                    return
-        except TypeError:
-            pass
         for out in table:
-            if not hasattr(out, "__len__") or len(out) != n or any(b not in (0, 1) for b in out):
+            if not hasattr(out, "__len__") or len(out) != n or not all(map(gf2._is_bit, out)):
                 raise DimMismatch(f"output {out!r} is not a {n}-bit point")
-        set_field(self, "table", tuple(map(tuple, table)))
+        # a bool or numpy bit is stored as a plain int, as FiniteMap stores values
+        set_field(self, "table", tuple(tuple(map(operator.index, out)) for out in table))
 
     @classmethod
     def from_source(cls, source: str, m: int | None = None) -> "BoolFunction":
         m, table = anf.tabulate(source, m)
-        return cls(m, len(table[0]), table)
+        # tabulate checks the guard and builds 2^m tuples of plain 0/1
+        # ints, so the table skips _validate
+        f = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, (m, len(table[0]), table)):
+            set_field(f, name, value)
+        return f
 
     @classmethod
     def from_finite_map(cls, fm: FiniteMap, m: int, n: int) -> "BoolFunction":

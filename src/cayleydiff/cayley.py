@@ -12,9 +12,10 @@ members are neighbors exactly when both images fit inside
 neighborhoods are read off one bucket of maps per such d.  The oracle
 behind ``cross_check=True`` leans on neither shortcut: it sweeps the
 generator images that continuity at the identity allows, keeps the
-maps that satisfy the homomorphism identity on every Cayley edge,
-checks their global continuity, and compares every pair of them by
-the generic map-space criterion.
+maps that :func:`~cayleydiff.groups._homs_by_definition` finds to
+satisfy the full identity phi(ab) = phi(a)phi(b), as the enumeration
+oracle does, checks their global continuity, and compares every pair
+of them by the generic map-space criterion.
 
 The hypercube B_n is the Cayley graph of z2^n over its unit vectors
 (:func:`hypercube`).
@@ -22,7 +23,6 @@ The hypercube B_n is the Cayley graph of z2^n over its unit vectors
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from . import guards
@@ -30,8 +30,8 @@ from .errors import CrossCheckMismatch, DimMismatch, NotContinuous, Record
 from .groups import (
     FiniteGroup,
     GeneratingSet,
-    _closure_words,
     _homs_along_tree,
+    _homs_by_definition,
     element_order,
     validate_generating_set,
     z2_power_group,
@@ -178,34 +178,25 @@ def _order2_generators(c: CayleyGraph) -> frozenset[int]:
 def _diff_space_sweep(domain: CayleyGraph, codomain: CayleyGraph) -> MapSpace:
     """Oracle for :func:`diff_space`, built from the definition.
 
-    Every assignment of the domain's Cayley generators S into
-    N(e) = {e} union T is extended along BFS words over S and kept when
-    phi(x*s) = phi(x)*phi(s) for every x and every s in S, which makes
-    it a homomorphism.  The ``oracle_work`` guard on |maps|^2 is checked
-    as each map is kept, so a refused space is refused mid-sweep.
-    Neighborhoods come from :meth:`MapSpace.from_continuous_maps`, which
-    also checks each kept map's global continuity and compares every
-    pair of maps by the generic criterion.
+    The maps are the homomorphisms that :func:`_homs_by_definition`
+    yields for the domain's Cayley generators S sent into
+    N(e) = {e} union T, each checked against the full identity
+    phi(ab) = phi(a)phi(b), as the enumeration oracle's maps are.  The
+    ``oracle_work`` guard on |maps|^2 is checked as each map is kept, so
+    a refused space is refused mid-sweep.  Neighborhoods come from
+    :meth:`MapSpace.from_continuous_maps`, which also checks each kept
+    map's global continuity and compares every pair of maps by the
+    generic criterion.
     """
     g, h = domain.group, codomain.group
-    gens = domain.gens.elements
     allowed = sorted(codomain.digraph.nbhd[h.identity])
-    guards.check("hom_candidates", len(allowed) ** len(gens), "D(C,D) oracle sweep")
-    words = _closure_words(g, gens)
-    tg, th = g.table, h.table
     maps = []
-    for images in itertools.product(allowed, repeat=len(gens)):
-        image_of = dict(zip(gens, images))
-        phi = [h.identity] * g.order
-        for x, word in words.items():
-            for s in word:
-                phi[x] = th[phi[x]][image_of[s]]
-        if all(phi[tg[x][s]] == th[phi[x]][image_of[s]] for x in range(g.order) for s in gens):
-            maps.append(FiniteMap(g.order, h.order, tuple(phi)))
-            # refuse as soon as the pair comparison is known to be too large
-            guards.check(
-                "oracle_work", len(maps) ** 2, "D(C,D) oracle pair comparison of the maps kept so far"
-            )
+    for values in _homs_by_definition(g, h, domain.gens.elements, allowed):
+        maps.append(FiniteMap(g.order, h.order, values))
+        # refuse as soon as the pair comparison is known to be too large
+        guards.check(
+            "oracle_work", len(maps) ** 2, "D(C,D) oracle pair comparison of the maps kept so far"
+        )
     maps.sort(key=lambda f: f.values)
     try:
         return MapSpace.from_continuous_maps(domain.digraph, codomain.digraph, maps)

@@ -10,6 +10,7 @@ whose systems have full column rank.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimMismatch, Record
@@ -29,13 +30,27 @@ __all__ = [
 BoolPoint = tuple[int, ...]
 
 
+def _is_bit(v) -> bool:
+    """0 or 1 of a type ``operator.index`` accepts: unlike 1.0, which == 1."""
+    try:
+        return operator.index(v) in (0, 1)
+    except TypeError:
+        return False
+
+
 def point_index(bits: Sequence[int]) -> int:
     idx = 0
     for b in bits:
         if b not in (0, 1):
             raise DimMismatch(f"bit {b!r} is not 0 or 1")
         idx = idx * 2 + b
-    return idx
+    if idx.__class__ is int:
+        return idx
+    # a bit of another type passed the value test; 1.0 makes idx a float
+    bad = [b for b in bits if not _is_bit(b)]
+    if bad:
+        raise DimMismatch(f"bit {bad[0]!r} is not an integer")
+    return int(idx)
 
 
 def index_point(idx: int, m: int) -> BoolPoint:
@@ -64,7 +79,8 @@ class GF2Matrix(Record):
             if len(row) != cols:
                 raise DimMismatch(f"row of length {len(row)}, declared {cols}")
             for v in row:
-                if v not in (0, 1):
+                # the class test spares plain ints the call
+                if v not in (0, 1) or v.__class__ is not int and not _is_bit(v):
                     raise DimMismatch(f"entry {v!r} is not a bit")
 
     @classmethod

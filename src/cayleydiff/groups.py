@@ -14,11 +14,12 @@ display-only and never affect equality.
 
 Homomorphisms are enumerated by sweeping generator images, each limited
 to the allowed elements whose order divides the generator's, and
-extending them along a spanning tree of the Cayley graph.  The plain
-sweep over all |H|^k images is kept as the tests' oracle for
-:func:`enumerate_homomorphisms`; the D(C,D) oracle of
-:func:`cayleydiff.cayley.diff_space` extends its candidates along the
-BFS words of :func:`_closure_words` instead.
+extending them along a spanning tree of the Cayley graph.  Both oracles,
+the tests' plain sweep for :func:`enumerate_homomorphisms` and the
+D(C,D) cross-check of :func:`cayleydiff.cayley.diff_space`, take their
+maps from one generator, :func:`_homs_by_definition`, which extends
+every generator image along BFS words and checks the full identity
+phi(ab) = phi(a)phi(b).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 import math
 import operator
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import guards
 from .errors import (
@@ -515,50 +516,42 @@ def _extend_stages(
             _extend_stages(i + 1, stages, options, th, phi, images, out)
 
 
+def _homs_by_definition(
+    g: FiniteGroup, h: FiniteGroup, gens: Sequence[int], choices: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """Value tuples of the homomorphisms g -> h sending every generator
+    into ``choices``, from the definition alone; the oracle of both
+    :func:`enumerate_homomorphisms` and the D(C,D) cross-check.
+
+    Each of the |choices|^|gens| assignments is extended along the BFS
+    words of :func:`_closure_words`, one product per element
+    (phi(x*s) = phi(x)*phi(s) for the last letter s of x's word), and
+    yielded iff phi(a*b) = phi(a)*phi(b) for every a and b, checked one
+    row a at a time.  ``gens`` must generate g.
+    """
+    choices = list(choices)
+    guards.check("hom_candidates", len(choices) ** len(gens), "homomorphism oracle sweep")
+    words = _closure_words(g, gens)
+    element_of = {w: x for x, w in words.items()}
+    steps = [(x, element_of[w[:-1]], gens.index(w[-1])) for x, w in words.items() if w]
+    tg, th = g.table, h.table
+    for images in itertools.product(choices, repeat=len(gens)):
+        phi = [h.identity] * g.order
+        for x, parent, j in steps:
+            phi[x] = th[phi[parent]][images[j]]
+        # row a: phi(a*b) for every b against phi(a)*phi(b) for every b
+        if all(itemgetter(*tg[a])(phi) == itemgetter(*phi)(th[phi[a]]) for a in range(g.order)):
+            yield tuple(phi)
+
+
 def _enumerate_homomorphisms_sweep(
     g: FiniteGroup, h: FiniteGroup
 ) -> tuple[FiniteMap, ...]:
-    """Oracle for :func:`enumerate_homomorphisms`: sweep all |h|^k images
-    of the k greedy generators, extend each along products, and verify
-    every survivor against the full defining identity."""
+    """Oracle for :func:`enumerate_homomorphisms`: every image of the
+    greedy generators in h, through :func:`_homs_by_definition`."""
     gens = _greedy_generators(g.table, g.identity)
-    guards.check(
-        "hom_candidates", h.order ** len(gens), "homomorphism enumeration"
-    )
-    tg, th = g.table, h.table
-    out = []
-    for images in itertools.product(range(h.order), repeat=len(gens)):
-        phi = [-1] * g.order
-        phi[g.identity] = h.identity
-        queue = [g.identity]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            px = phi[x]
-            for gen, img in zip(gens, images):
-                y = tg[x][gen]
-                py = th[px][img]
-                if phi[y] < 0:
-                    phi[y] = py
-                    queue.append(y)
-                elif phi[y] != py:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for a in range(g.order):
-            pa = phi[a]
-            ra = tg[a]
-            for b in range(g.order):
-                if phi[ra[b]] != th[pa][phi[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(phi))
-    out.sort()
-    return tuple(FiniteMap(g.order, h.order, v) for v in out)
+    values = sorted(_homs_by_definition(g, h, gens, range(h.order)))
+    return tuple(FiniteMap(g.order, h.order, v) for v in values)
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -101,6 +101,15 @@ def test_parser_errors():
         BoolFunction.from_source("p (q + r")
     with pytest.raises(MalformedTable, match="trailing input at position 4: '\\) q'"):
         BoolFunction.from_source("p q ) q")
+    # positions in a vector source count from the start of the source
+    with pytest.raises(MalformedTable, match="unexpected character '&' at position 8"):
+        BoolFunction.from_source("(p, q + &)")
+    with pytest.raises(MalformedTable, match="unexpected character '\\)' at position 3"):
+        BoolFunction.from_source("(p,)")
+    # a tuple is the whole source or nothing
+    for source in ("(p)(q,r)", "((p,q))", "(p,q)r", "r+(p,q)"):
+        with pytest.raises(MalformedTable, match="a tuple must be the whole source"):
+            BoolFunction.from_source(source)
     with pytest.raises(DimMismatch):
         BoolFunction.from_source("1")  # constant needs an explicit m
     with pytest.raises(DimMismatch):
@@ -173,6 +182,22 @@ def test_tabulate_matches_per_point_route():
             assert fast == slow, "".join(bad)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
+def test_vector_source_is_the_zip_of_its_components(seed, k, m):
+    # each component spelt with random spaces and grouping parentheses
+    rng = random.Random(seed)
+    components = []
+    for _ in range(k):
+        c = _random_expression(rng, m)
+        for _ in range(rng.randrange(3)):
+            c = rng.choice(("(", " (", "( ")) + c + rng.choice((")", " )", ") "))
+        components.append(c)
+    _, table = anf.tabulate("(" + ", ".join(components) + ")", m)
+    columns = [[row[0] for row in anf.tabulate(c, m)[1]] for c in components]
+    assert table == tuple(zip(*columns))
+
+
 def test_explicit_constant():
     one = BoolFunction.from_source("1", m=2)
     assert one.table == ((1,),) * 4
@@ -192,6 +217,9 @@ def test_point_indexing_is_msb_first():
             assert point_index(index_point(idx, m)) == idx
     with pytest.raises(DimMismatch):
         point_index((0, 2))
+    # a float equals its bit but is not an integer
+    with pytest.raises(DimMismatch, match="bit 1.0 is not an integer"):
+        point_index((1.0, 0))
     with pytest.raises(DimMismatch):
         index_point(8, 3)
 
@@ -214,6 +242,8 @@ def test_matrix_validation():
         GF2Matrix(1, 2, ((0, 1, 1),))
     with pytest.raises(DimMismatch):
         GF2Matrix(1, 2, ((0, 2),))
+    with pytest.raises(DimMismatch, match="entry 1.0 is not a bit"):
+        GF2Matrix(1, 1, ((1.0,),))
 
 
 def test_matrix_columns_round_trip():
@@ -748,6 +778,13 @@ def test_function_conversions():
         BoolFunction(1, 1, ((0,), 1))
     g = BoolFunction(1, 1, ((0,), [1]))
     assert type(g.value(1)) is tuple and g.table == ((0,), (1,))
+    # a float bit is refused even behind an equal row of ints, and
+    # integer types such as bool are stored as plain ints
+    for m, table in ((1, ((0,), (1.0,))), (2, ((0,), (1,), (1.0,), (0,)))):
+        with pytest.raises(DimMismatch, match=re.escape("output (1.0,) is not a 1-bit point")):
+            BoolFunction(m, 1, table)
+    h = BoolFunction(1, 2, ((False, 0), (1, True)))
+    assert h.table == ((0, 0), (1, 1)) and {type(b) for row in h.table for b in row} == {int}
 
 
 def test_pointwise_product_table():

@@ -9,7 +9,14 @@
   ``differentials_by_theorem``
 
 and, as the ground for exhaustive checks over local functions, that
-every classification route reads f only near the point.
+every classification route reads f only near the point and that the
+Boolean answer permutes with the coordinates.  On that ground
+``sweep_boolean_locals`` and ``sweep_cayley_locals`` run every route on
+every function that is zero off the point's neighbourhood, a complete
+check for each space and point they cover.  Tier 1 sweeps the small
+cases; larger ones run through the same functions outside it, e.g.
+
+    PYTHONPATH=src:tests python -c "import test_equivalence as t; t.sweep_boolean_locals(3, 3)"
 """
 
 import functools
@@ -26,6 +33,7 @@ from cayleydiff.boolean import (
     BoolFunction,
     boolean_differentials_at,
     is_differentiable_at,
+    linear_map_space,
     solve_matrix_equation,
 )
 from cayleydiff.cayley import _diff_space_sweep, cayley_graph, diff_space
@@ -51,7 +59,7 @@ from cayleydiff.errors import (
     NotAssociative,
     SizeGuardExceeded,
 )
-from cayleydiff.gf2 import index_point, neighborhood_indices
+from cayleydiff.gf2 import index_point, neighborhood_indices, point_index
 from cayleydiff.spaces import (
     FiniteMap,
     MapSpace,
@@ -445,3 +453,96 @@ def test_boolean_routes_read_f_only_on_the_ball(m):
                 )
                 for route in (boolean_differentials_at, is_differentiable_at, solve_matrix_equation):
                     assert route(g, b) == route(f, b), (route, f, g, b)
+
+
+# The second lemma: permuting the coordinates permutes the Boolean
+# answer.  With y[p[j]] = x[j] and g(y) = f(x), the differentials of g at
+# p(b) are those of f at b with column j moved to column p[j], so the
+# points 1^k 0^(m-k) stand for every point of their weight.
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_boolean_answer_permutes_with_the_coordinates(m):
+    rng = random.Random(m)
+    for n in range(1, 4):
+        for _ in range(3):
+            f = BoolFunction(m, n, tuple(index_point(v, n) for v in _random_bool_values(m, n, rng)))
+            for p in itertools.permutations(range(m)):
+                inv = [p.index(k) for k in range(m)]
+                moved = [point_index(tuple(index_point(x, m)[i] for i in inv)) for x in range(2**m)]
+                table = [None] * 2**m
+                for x, y in enumerate(moved):
+                    table[y] = f.table[x]
+                g = BoolFunction(m, n, tuple(table))
+                for b in range(2**m):
+                    want = sorted(
+                        tuple(tuple(row[i] for i in inv) for row in mt.bits)
+                        for mt in boolean_differentials_at(f, b)
+                    )
+                    assert [mt.bits for mt in boolean_differentials_at(g, moved[b])] == want
+
+
+def _zero_off(size, near, vals):
+    """The value tuple that is ``vals`` on ``near``, in order, and 0 elsewhere."""
+    values = [0] * size
+    for x, v in zip(near, vals):
+        values[x] = v
+    return tuple(values)
+
+
+def sweep_boolean_locals(m, n, points=None):
+    """Run every Boolean route on every f from the m-cube to the n-cube
+    that is zero off the Hamming ball of b, at each of ``points`` (every
+    point by default).  The code sweep, the generic criterion and the
+    theorem route on ``linear_map_space(m, n)`` must give the same
+    differentials, and ``is_differentiable_at`` says whether there are
+    any.  Returns the number of (f, b) cases."""
+    matrices, space = linear_map_space(m, n)
+    index_of = {mt.bits: i for i, mt in enumerate(matrices)}
+    cases = 0
+    for b in range(2**m) if points is None else points:
+        ball = neighborhood_indices(b, m)
+        for vals in itertools.product(range(2**n), repeat=len(ball)):
+            values = _zero_off(2**m, ball, vals)
+            f = BoolFunction(m, n, tuple(index_point(v, n) for v in values))
+            found = tuple(sorted(index_of[mt.bits] for mt in boolean_differentials_at(f, b)))
+            q = DifferentialQuery(space, FiniteMap(2**m, 2**n, values), b)
+            assert differentials_at(q) == differentials_by_theorem(q) == found, (values, b)
+            assert is_differentiable_at(f, b) == bool(found), (values, b)
+            cases += 1
+    return cases
+
+
+def sweep_cayley_locals(dom, cod):
+    """Run every Cayley route on every f that is zero off N(a), at every
+    point a of D(dom, cod); ``dom`` and ``cod`` are (spec, generators)
+    as in ``graph_on``.  ``differentials_at``, ``differentials_by_theorem``
+    and ``differential_oracle`` must agree.  Returns the number of (f, a)
+    cases."""
+    space = diff_space(graph_on(*dom), graph_on(*cod))
+    n, k = space.domain.size, space.codomain.size
+    cases = 0
+    for a in range(n):
+        near = sorted(space.domain.nbhd[a])
+        for vals in itertools.product(range(k), repeat=len(near)):
+            q = DifferentialQuery(space, FiniteMap(n, k, _zero_off(n, near, vals)), a)
+            found = differentials_at(q)
+            assert differentials_by_theorem(q) == differential_oracle(q) == found, (q.f, a)
+            cases += 1
+    return cases
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_boolean_routes_agree_on_every_local_function(m, n):
+    assert sweep_boolean_locals(m, n) == 2**m * 2 ** (n * (m + 1))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    LOCALITY_PAIRS + ((("s:3", None), ("z2^2", None)),),
+    ids=lambda p: f"{p[0][0]}{p[0][1] or ''}->{p[1][0]}",
+)
+def test_cayley_routes_agree_on_every_local_function(pair):
+    dom, cod = graph_on(*pair[0]), graph_on(*pair[1])
+    n, k = dom.group.order, cod.group.order
+    assert sweep_cayley_locals(*pair) == sum(k ** len(dom.digraph.nbhd[a]) for a in range(n))
